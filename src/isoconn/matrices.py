@@ -25,7 +25,6 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 _SWEEP_TOL = 1e-14   # off-diagonal Frobenius mass relative to ||M||_F
 _MAX_SWEEPS = 100
-_PY_CORE_MAX_ORDER = 16  # above this, vectorized sweeps beat the scalar loop
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,8 @@ def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float]:
 
 
 def _jacobi_python(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Scalar loops on nested lists: far cheaper than ndarray ops at tiny orders.
+    # Scalar loops on nested lists: one matrix solves faster this way than with
+    # per-pair ndarray updates at every order measured (16 to 64).
     n = sym.shape[0]
     a = sym.tolist()
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -161,45 +161,9 @@ def _jacobi_python(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, np.array(v)
 
 
-def _jacobi_numpy(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Same sweep order and rotations as the scalar core, with vectorized updates.
-    n = sym.shape[0]
-    a = sym.copy()
-    v = np.eye(n)
-    fro2 = float((a * a).sum())
-    thr2 = (_SWEEP_TOL * _SWEEP_TOL) * fro2
-    sweeps = 0
-    while True:
-        off2 = float((a * a).sum() - (np.diag(a) ** 2).sum())
-        if off2 <= thr2:
-            break
-        if sweeps == _MAX_SWEEPS:
-            raise ConvergenceError(f"no convergence after {_MAX_SWEEPS} sweeps (order {n})")
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                c, s = _rotation(a[p, p], a[q, q], apq)
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 def _eigh_core(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of an exactly symmetric ndarray: ascending values, sign-fixed columns."""
-    if sym.shape[0] <= _PY_CORE_MAX_ORDER:
-        w, v = _jacobi_python(sym)
-    else:
-        w, v = _jacobi_numpy(sym)
+    w, v = _jacobi_python(sym)
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -210,6 +174,72 @@ def _eigh_core(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if v[k, j] < 0.0:
             v[:, j] = -v[:, j]
     return w, v
+
+
+def _eigvals_stack(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every slice of a (G, n, n) stack, as a (G, n) array.
+
+    Row g is bit-identical to ``_eigh_core(stack[g])[0]``: the sweeps repeat
+    ``_jacobi_python``'s sums, pair order and rotations elementwise over the
+    slices.  A slice leaves the stack once it converges.  Where a slice's
+    (p, q) entry is exactly zero its values are kept by selection, never by an
+    identity rotation, which could flip the sign of a zero.
+    """
+    g_count, n = stack.shape[0], stack.shape[-1]
+    # Layout (n, n, G): each matrix entry is one contiguous vector over the slices.
+    a = np.array(np.moveaxis(stack, 0, -1), dtype=float, order="C")
+    out = np.empty((g_count, n))
+    live = np.arange(g_count)
+    diag = np.arange(n)
+    fro2 = np.zeros(g_count)
+    for i in range(n):
+        for j in range(n):
+            fro2 = fro2 + a[i, j] * a[i, j]
+    thr2 = (_SWEEP_TOL * _SWEEP_TOL) * fro2
+    sweeps = 0
+    # Lanes with a zero (p, q) entry divide by zero and are then discarded; a
+    # subnormal entry overflows theta into the |theta| > 1e150 branch.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while live.size:
+            off2 = np.zeros(live.size)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    off2 = off2 + 2.0 * a[i, j] * a[i, j]
+            done = off2 <= thr2
+            if done.any():
+                out[live[done]] = a[diag, diag][:, done].T
+                keep = ~done
+                a, live, thr2 = a[..., keep], live[keep], thr2[keep]
+                if not live.size:
+                    break
+            if sweeps == _MAX_SWEEPS:
+                raise ConvergenceError(f"no convergence after {_MAX_SWEEPS} sweeps (order {n})")
+            sweeps += 1
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = a[p, q]
+                    rot = apq != 0.0
+                    if not rot.any():
+                        continue
+                    partial = not rot.all()
+                    # _rotation, elementwise.
+                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                    mag = np.abs(theta)
+                    t = np.where(theta >= 0.0, 1.0, -1.0) / (mag + np.sqrt(theta * theta + 1.0))
+                    big = mag > 1e150
+                    if big.any():
+                        t = np.where(big, 0.5 / theta, t)
+                    c = 1.0 / np.sqrt(t * t + 1.0)
+                    s = t * c
+                    for first, second in ((a[:, p], a[:, q]), (a[p], a[q])):
+                        new_first = c * first - s * second
+                        new_second = s * first + c * second
+                        if partial:
+                            new_first = np.where(rot, new_first, first)
+                            new_second = np.where(rot, new_second, second)
+                        first[...] = new_first
+                        second[...] = new_second
+    return np.take_along_axis(out, np.argsort(out, axis=1, kind="stable"), axis=1)
 
 
 def symmetric_eigendecomposition(

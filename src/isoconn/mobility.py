@@ -348,6 +348,15 @@ def integrate_connectivity_change(
 
     warnings: list[str] = []
     warned: set[int] = set()
+
+    def note_crossings(flags: np.ndarray, new_flags: np.ndarray) -> np.ndarray:
+        # One warning per agent, at its first range crossing.
+        for j in np.nonzero(new_flags != flags)[0]:
+            if j != mobile and j not in warned:
+                warned.add(int(j))
+                warnings.append(f"range crossing: link to agent {ids[j]!r} changed state mid-path")
+        return new_flags
+
     flags = in_range_flags(segments[0][0])
     integral = 0.0
     for a, b, length in segments:
@@ -363,18 +372,7 @@ def integrate_connectivity_change(
             check_gap(gap, f"along the path (arc position {k + 0.5:.1f} of segment)")
             dlap = _motion_derivative(work, sigma, comm_range, mobile, unit)
             integral += float(fiedler @ dlap @ fiedler) * h
-            new_flags = in_range_flags(mid)
-            for j in np.nonzero(new_flags != flags)[0]:
-                if j != mobile and j not in warned:
-                    warned.add(int(j))
-                    warnings.append(
-                        f"range crossing: link to agent {ids[j]!r} changed state mid-path"
-                    )
-            flags = new_flags
-    new_flags = in_range_flags(segments[-1][1])
-    for j in np.nonzero(new_flags != flags)[0]:
-        if j != mobile and j not in warned:
-            warned.add(int(j))
-            warnings.append(f"range crossing: link to agent {ids[j]!r} changed state mid-path")
+            flags = note_crossings(flags, in_range_flags(mid))
+    note_crossings(flags, in_range_flags(segments[-1][1]))
 
     return PathIntegralResult(integral, lam_end - lam_start, tuple(warnings))

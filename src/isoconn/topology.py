@@ -117,17 +117,20 @@ def adjacency_weight(distance: float, sigma: float, comm_range: float) -> float:
 
 
 def _weights_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    # pos is (..., n, 2); leading axes stack independent configurations.
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
     w = np.where(dist <= comm_range, np.exp(-(sigma / comm_range) * dist), 0.0)
-    np.fill_diagonal(w, 0.0)
+    idx = np.arange(pos.shape[-2])
+    w[..., idx, idx] = 0.0
     return w
 
 
 def _laplacian_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
     w = _weights_from_positions(pos, sigma, comm_range)
     lap = -w
-    np.fill_diagonal(lap, w.sum(axis=1))
+    idx = np.arange(pos.shape[-2])
+    lap[..., idx, idx] = w.sum(axis=-1)
     return lap
 
 

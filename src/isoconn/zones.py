@@ -18,10 +18,13 @@ from .errors import (
     NegativeDiscriminantError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _eigh_core
+from .matrices import SquareMatrix, _eigh_core, _eigvals_stack
 from .topology import AgentConfiguration, _laplacian_from_positions, build_laplacian
 
 TARGET_CONNECTIVITY = 4.0
+# Matrix entries per solved zone-scan stack (256 KiB): bounds a scan's memory
+# whatever its grid or order.
+_ZONE_CHUNK_ENTRIES = 1 << 15
 
 
 def _check_parameters(alpha: float, beta: float) -> None:
@@ -179,7 +182,9 @@ def iso_connectivity_zone(
 
     Each cell center is tried in row-major order; the default target is the
     configuration's own connectivity level.  Cells that would stack the mobile
-    agent on top of another one are counted as rejected.
+    agent on top of another one are counted as rejected.  The other cells are
+    solved together in fixed-size stacks, each cell bit-identical to its own
+    single solve.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -190,20 +195,24 @@ def iso_connectivity_zone(
     if target is None:
         w, _ = _eigh_core(build_laplacian(config).entries)
         target = float(w[1])
-    others = np.array([pos[j] for j in range(n) if j != mobile])
+    cells = list(grid.centers())
+    others = np.delete(pos, mobile, axis=0)
+    points = np.array(cells)
+    coincident = (points[:, None, :] == others[None, :, :]).all(axis=-1).any(axis=-1)
+    live = np.nonzero(~coincident)[0]
+    lam2 = np.full(len(cells), np.nan)  # stays NaN on coincident cells
+    per_chunk = max(1, _ZONE_CHUNK_ENTRIES // (n * n))
+    for start in range(0, live.size, per_chunk):
+        chunk = live[start:start + per_chunk]
+        work = np.repeat(pos[None], chunk.size, axis=0)
+        work[:, mobile] = points[chunk]
+        laps = _laplacian_from_positions(work, config.sigma, config.comm_range)
+        lam2[chunk] = _eigvals_stack(laps)[:, 1]
     accepted: list[ZonePoint] = []
     rejected = 0
-    for x, y in grid.centers():
-        point = np.array([x, y])
-        if np.any((others[:, 0] == point[0]) & (others[:, 1] == point[1])):
-            rejected += 1
-            continue
-        work = pos.copy()
-        work[mobile] = point
-        w, _ = _eigh_core(_laplacian_from_positions(work, config.sigma, config.comm_range))
-        lam2 = float(w[1])
-        if abs(lam2 - target) <= tol:
-            accepted.append(ZonePoint(x, y, lam2))
+    for (x, y), skip, lam in zip(cells, coincident.tolist(), lam2.tolist()):
+        if not skip and abs(lam - target) <= tol:
+            accepted.append(ZonePoint(x, y, lam))
         else:
             rejected += 1
     return ZoneSample(target, tol, grid, tuple(accepted), rejected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isoconn import Agent, AgentConfiguration, SquareMatrix
+from isoconn import Agent, AgentConfiguration, SquareMatrix, is_connected
 
 # Base four-agent Laplacian (complete graph minus the 2-4 link, unit weights)
 # and its two relabeling conjugates.
@@ -152,3 +152,12 @@ def random_config(rng, n=5, side=30.0, min_gap=1.0, sigma=1.2, comm_range=100.0)
                     ok = False
         if ok:
             return make_config(pts, sigma=sigma, comm_range=comm_range)
+
+
+def geometric_config(rng, n, comm_range=6.0):
+    """Connected uniform agents in a box of side 10*sqrt(n/16): density fixed as n grows."""
+    side = 10.0 * np.sqrt(n / 16.0)
+    while True:
+        config = make_config(rng.uniform(0.0, side, size=(n, 2)), comm_range=comm_range)
+        if is_connected(config):
+            return config

@@ -1,6 +1,7 @@
 import json
 import math
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from isoconn import SquareMatrix
 from isoconn.cli import main
 from conftest import K4_ROWS, L1_ROWS, L2_ROWS, L4P_ROWS, PATH3_WEIGHTED_ROWS
+
+DATA = Path(__file__).parent / "data"
 
 SUBCOMMANDS = [
     "spectrum",
@@ -287,6 +290,31 @@ class TestZone:
             ["zone", "--input", config_path, "--mobile", "a3", "--bounds", "0,4", "--resolution", "2,1"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra,golden",
+        [([], "zone_readme.json"), (["--tol", "0.05", "--precision", "full"], "zone_readme_tol.json")],
+    )
+    def test_readme_example_stdout_unchanged(self, tmp_path, capsys, extra, golden):
+        # The golden files hold the stdout of the one-solve-per-cell scan.
+        config = {
+            "sigma": 1.0,
+            "range": 10.0,
+            "agents": [
+                {"id": "a1", "x": 0.0, "y": 0.0},
+                {"id": "a2", "x": 4.0, "y": 0.0},
+                {"id": "a3", "x": 1.0, "y": 2.0},
+            ],
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = [
+            "zone", "--input", str(config_path), "--mobile", "a3",
+            "--bounds", "0,4,-3,3", "--resolution", "9,9",
+        ]
+        code, out, _ = run(capsys, argv + extra)
+        assert code == 0
+        assert out.encode() == (DATA / golden).read_bytes()
 
 
 class TestParametric:

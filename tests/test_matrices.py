@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from isoconn import (
     ConvergenceError,
+    build_laplacian,
     NonFiniteError,
     NonSymmetricError,
     NotBijectionError,
@@ -18,7 +19,10 @@ from isoconn import (
     symmetric_eigendecomposition,
     validate_iso_transform,
 )
-from conftest import L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS
+from isoconn import matrices
+from isoconn.matrices import _eigh_core, _eigvals_stack
+from isoconn.topology import _laplacian_from_positions
+from conftest import L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS, geometric_config
 
 
 def random_symmetric(seed, n, lo=-10.0, hi=10.0):
@@ -131,6 +135,131 @@ class TestEigendecomposition:
 
     def test_convergence_error_is_exported(self):
         assert issubclass(ConvergenceError, Exception)
+
+
+class TestLargeOrders:
+    """Geometric Laplacians above order 16, where the solver once lost convergence."""
+
+    @pytest.mark.parametrize("n", [17, 20, 23, 26, 29, 32, 48, 64])
+    def test_matches_numpy_without_convergence_error(self, n):
+        rng = np.random.default_rng([n, 17])
+        for _ in range(3):
+            m = build_laplacian(geometric_config(rng, n))
+            w = symmetric_eigendecomposition(m).eigenvalues
+            ref = np.linalg.eigvalsh(m.entries)
+            assert np.abs(w - ref).max() <= 1e-9 * max(1.0, np.linalg.norm(m.entries, 2))
+
+    @pytest.mark.parametrize("n", [17, 32, 64])
+    def test_bit_identical_repeat(self, n):
+        m = build_laplacian(geometric_config(np.random.default_rng([n, 18]), n))
+        first = symmetric_eigendecomposition(m)
+        second = symmetric_eigendecomposition(SquareMatrix(m.entries.copy()))
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+
+def zone_stack(seed, n, cells=24, comm_range=6.0):
+    """Laplacians of one geometric configuration with agent 0 moved to random cells."""
+    rng = np.random.default_rng([seed, n])
+    pos = geometric_config(rng, n, comm_range=comm_range).positions()
+    work = np.repeat(pos[None], cells, axis=0)
+    work[:, 0] = rng.uniform(-2.0, 12.0, size=(cells, 2))
+    return _laplacian_from_positions(work, 1.0, comm_range)
+
+
+def sweeps_needed(m):
+    """Sweeps the single solve takes: the smallest cap it converges under."""
+    for cap in range(matrices._MAX_SWEEPS + 1):
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matrices, "_MAX_SWEEPS", cap)
+                _eigh_core(m)
+            return cap
+        except ConvergenceError:
+            continue
+    raise AssertionError("no convergence")
+
+
+def assert_rows_match_single_solves(stack):
+    values = _eigvals_stack(stack)
+    assert values.shape == stack.shape[:2]
+    for g in range(stack.shape[0]):
+        # tobytes also tells -0.0 from 0.0.
+        assert values[g].tobytes() == _eigh_core(stack[g])[0].tobytes(), g
+
+
+class TestEigvalsStack:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_zone_stacks_bit_identical(self, n):
+        stack = zone_stack(n, n)
+        # Links out of range leave exact (negative) zeros off the diagonal.
+        assert (stack[:, ~np.eye(n, dtype=bool)] == 0.0).any()
+        assert_rows_match_single_solves(stack)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
+    def test_random_symmetric_stacks_bit_identical(self, n):
+        stack = np.array([random_symmetric(100 * n + g, n).entries for g in range(12)])
+        assert_rows_match_single_solves(stack)
+
+    def test_diagonal_slices(self):
+        stack = np.array(
+            [
+                np.diag([3.0, -0.0, 1.0, 0.0]),
+                np.zeros((4, 4)),
+                random_symmetric(1, 4).entries,
+                np.diag([2.0, 2.0, -1.0, 5.0]),
+            ]
+        )
+        assert_rows_match_single_solves(stack)
+        assert np.array_equal(_eigvals_stack(stack)[0], [-0.0, 0.0, 1.0, 3.0])
+
+    def test_slices_converging_on_different_sweeps(self):
+        one_pair = np.diag([1.0, 2.0, 3.0, 4.0])
+        one_pair[0, 1] = one_pair[1, 0] = 0.5
+        tiny = np.array(
+            [[1.0, 1e-160, 0.5, 0.0], [1e-160, 2.0, 0.0, 0.0], [0.5, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 4.0]]
+        )
+        subnormal = tiny.copy()
+        subnormal[0, 1] = subnormal[1, 0] = 5e-324
+        stack = np.array(
+            [random_symmetric(3, 4).entries, np.diag([4.0, 3.0, 2.0, 1.0]), one_pair, tiny, subnormal]
+            + [m for m in zone_stack(4, 4, cells=6)]
+        )
+        assert len({sweeps_needed(m) for m in stack}) >= 3
+        assert_rows_match_single_solves(stack)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Exact zeros of either sign beside rotated pairs: a skipped pair must keep them.
+            [[0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.5, -1.0], [0.0, 0.5, -1e-300, -0.5], [0.0, -1.0, -0.5, 0.0]],
+            # Equal diagonal entries over a negative one: theta is -0.0, rotated as +1.
+            [[2.0, -1e-300, 2.0, 3.0], [-1e-300, 2.0, 0.0, 1.0], [2.0, 0.0, 0.0, 3.0], [3.0, 1.0, 3.0, -1e-300]],
+            # Tiny off-diagonal entries: |theta| > 1e150 takes the overflow-safe branch.
+            [[0.0, 1e-160, 0.0, 3.0], [1e-160, -1.0, 1.0, 1e-160], [0.0, 1.0, 0.0, 3.0], [3.0, 1e-160, 3.0, 0.5]],
+        ],
+    )
+    def test_edge_rotations_bit_identical(self, rows):
+        # The dense companion slice rotates every pair, so the stack mixes rotated and skipped lanes.
+        assert_rows_match_single_solves(np.array([rows, random_symmetric(5, 4).entries]))
+
+    def test_signed_zero_eigenvalues_keep_their_order(self):
+        zeros = np.diag([-0.0, 0.0] * 40)
+        values = _eigvals_stack(zeros[None])
+        assert values[0].tobytes() == np.diag(zeros).tobytes() == _eigh_core(zeros)[0].tobytes()
+
+    def test_empty_stack(self):
+        assert _eigvals_stack(np.empty((0, 3, 3))).shape == (0, 3)
+
+    def test_convergence_error_matches_single_solve(self, monkeypatch):
+        dense = random_symmetric(11, 6).entries
+        stack = np.array([np.diag(np.arange(6.0)), dense, np.diag(np.arange(6.0))])
+        monkeypatch.setattr(matrices, "_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError) as single:
+            _eigh_core(dense)
+        with pytest.raises(ConvergenceError) as stacked:
+            _eigvals_stack(stack)
+        assert str(stacked.value) == str(single.value) == "no convergence after 1 sweeps (order 6)"
 
 
 class TestPermutationMatrix:

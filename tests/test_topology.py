@@ -16,6 +16,7 @@ from isoconn import (
     symmetric_eigendecomposition,
     validate_laplacian,
 )
+from isoconn.topology import _laplacian_from_positions, _weights_from_positions
 from conftest import L1_ROWS, l1_geometry, make_config, random_config
 
 
@@ -73,6 +74,27 @@ class TestBuildLaplacian:
         lap = build_laplacian(random_config(rng))
         checks = validate_laplacian(lap, 1e-12)
         assert checks.symmetric and checks.zero_row_sums and checks.nonpositive_offdiag
+
+
+class TestStackedBuild:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_stack_equals_per_slice_build(self, n):
+        rng = np.random.default_rng([n, 5])
+        stack = rng.uniform(0.0, 10.0, size=(3, 5, n, 2))
+        for build in (_weights_from_positions, _laplacian_from_positions):
+            built = build(stack, 1.0, 6.0)
+            assert built.shape == (3, 5, n, n)
+            for i in range(3):
+                for j in range(5):
+                    # tobytes also tells -0.0 from 0.0.
+                    assert built[i, j].tobytes() == build(stack[i, j], 1.0, 6.0).tobytes()
+
+    def test_single_build_matches_reference(self):
+        pos = np.array([[0.0, 0.0], [3.0, 4.0], [20.0, 0.0]])
+        w = math.exp(-0.5)
+        expected = np.array([[w, -w, -0.0], [-w, w, -0.0], [-0.0, -0.0, 0.0]])
+        lap = _laplacian_from_positions(pos, 1.0, 10.0)
+        assert lap.tobytes() == expected.tobytes()
 
 
 class TestValidateLaplacian:

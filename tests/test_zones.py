@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from isoconn import (
+    CoincidentAgentsError,
     EmptyGridError,
     GridSpec,
     NonPositiveParameterError,
@@ -15,7 +17,9 @@ from isoconn import (
     mirror_moves,
     symmetric_eigendecomposition,
 )
-from conftest import L4P_ROWS, L4PP_ROWS, L4P_SPECTRUM, L4PP_SPECTRUM, make_config
+from isoconn import zones
+from isoconn.matrices import _eigh_core, _eigvals_stack
+from conftest import L4P_ROWS, L4PP_ROWS, L4P_SPECTRUM, L4PP_SPECTRUM, geometric_config, make_config
 
 
 class TestDenseFamilyLaplacian:
@@ -189,3 +193,81 @@ class TestIsoConnectivityZone:
         config = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0)], comm_range=10.0)
         data = iso_connectivity_zone(config, 2, GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1)).to_json_dict()
         assert set(data) == {"target", "tol", "grid", "accepted", "rejected_count"}
+
+
+def per_cell_zone(config, mobile, grid, target=None, tol=1e-6):
+    """Reference scan: one single solve per cell, in row-major order."""
+    if target is None:
+        target = float(_eigh_core(build_laplacian(config).entries)[0][1])
+    accepted, rejected = [], 0
+    for x, y in grid.centers():
+        try:
+            moved = config.with_position(mobile, x, y)
+        except CoincidentAgentsError:
+            rejected += 1
+            continue
+        lam2 = float(_eigh_core(build_laplacian(moved).entries)[0][1])
+        if abs(lam2 - target) <= tol:
+            accepted.append({"x": x, "y": y, "lambda2": lam2})
+        else:
+            rejected += 1
+    return {
+        "target": target,
+        "tol": tol,
+        "grid": grid.to_json_dict(),
+        "accepted": accepted,
+        "rejected_count": rejected,
+    }
+
+
+def assert_same_zone(config, mobile, grid, **kwargs):
+    got = iso_connectivity_zone(config, mobile, grid, **kwargs).to_json_dict()
+    want = per_cell_zone(config, mobile, grid, **kwargs)
+    assert got == want
+    # JSON text also tells -0.0 from 0.0.
+    assert json.dumps(got) == json.dumps(want)
+    return got
+
+
+class TestZoneMatchesPerCellScan:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_seeded_configurations(self, n):
+        rng = np.random.default_rng([n, 9])
+        config = geometric_config(rng, n)
+        mobile = int(rng.integers(n))
+        side = 10.0 * math.sqrt(n / 16.0)
+        grid = GridSpec(-2.0, side + 2.0, -2.0, side + 2.0, 6, 5)
+        assert_same_zone(config, mobile, grid)
+        target = float(_eigh_core(build_laplacian(config).entries)[0][1])
+        data = assert_same_zone(config, mobile, grid, tol=0.2 * target)
+        assert data["accepted"] and data["rejected_count"]
+
+    def test_coincident_cells(self):
+        config = make_config([(0.5, 0.5), (2.5, 1.5), (1.0, 1.0), (3.5, 3.5)], comm_range=3.0)
+        grid = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4)
+        centers = set(grid.centers())
+        assert {(0.5, 0.5), (2.5, 1.5), (3.5, 3.5)} <= centers
+        data = assert_same_zone(config, 2, grid, tol=0.5)
+        assert data["accepted"] and data["rejected_count"] >= 3
+
+    def test_all_cells_coincident(self):
+        config = make_config([(0.5, 0.5), (1.0, 1.0)])
+        data = assert_same_zone(config, 1, GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1), tol=100.0)
+        assert data["accepted"] == [] and data["rejected_count"] == 1
+
+    def test_grid_larger_than_one_chunk(self, monkeypatch):
+        n = 8
+        config = geometric_config(np.random.default_rng(21), n)
+        grid = GridSpec(-1.0, 8.0, -1.0, 8.0, 24, 24)
+        assert grid.nx * grid.ny > zones._ZONE_CHUNK_ENTRIES // (n * n)
+        sizes = []
+
+        def recording(stack):
+            sizes.append(stack.size)
+            return _eigvals_stack(stack)
+
+        monkeypatch.setattr(zones, "_eigvals_stack", recording)
+        target = float(_eigh_core(build_laplacian(config).entries)[0][1])
+        data = assert_same_zone(config, 3, grid, tol=0.2 * target)
+        assert data["accepted"] and data["rejected_count"]
+        assert len(sizes) == 2 and max(sizes) <= zones._ZONE_CHUNK_ENTRIES
