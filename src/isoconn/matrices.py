@@ -25,6 +25,9 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 _SWEEP_TOL = 1e-14   # off-diagonal Frobenius mass relative to ||M||_F
 _MAX_SWEEPS = 100
+# Matrix entries per solved stack, eigenvectors included (256 KiB): bounds the
+# memory of a stacked caller whatever its number of slices.
+_STACK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -176,10 +179,17 @@ def _eigh_core(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _eigvals_stack(stack: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every slice of a (G, n, n) stack, as a (G, n) array.
+def _stack_slices(n: int, vectors: bool) -> int:
+    """Slices of order ``n`` per ``_eigh_stack`` call that fit ``_STACK_ENTRIES``."""
+    return max(1, _STACK_ENTRIES // ((2 if vectors else 1) * n * n))
 
-    Row g is bit-identical to ``_eigh_core(stack[g])[0]``: the sweeps repeat
+
+def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigensystems of every slice of a (G, n, n) stack.
+
+    Returns ascending eigenvalues as a (G, n) array and, when ``vectors`` is
+    true, the sign-fixed eigenvectors as a (G, n, n) array (None otherwise).
+    Slice g is bit-identical to ``_eigh_core(stack[g])``: the sweeps repeat
     ``_jacobi_python``'s sums, pair order and rotations elementwise over the
     slices.  A slice leaves the stack once it converges.  Where a slice's
     (p, q) entry is exactly zero its values are kept by selection, never by an
@@ -191,6 +201,12 @@ def _eigvals_stack(stack: np.ndarray) -> np.ndarray:
     out = np.empty((g_count, n))
     live = np.arange(g_count)
     diag = np.arange(n)
+    if vectors:
+        v = np.zeros_like(a)
+        v[diag, diag] = 1.0
+        # Column-major per slice, as _eigh_core returns it, so that a product
+        # with a contiguous column rounds exactly as it does after a single solve.
+        out_vt = np.empty((g_count, n, n))
     fro2 = np.zeros(g_count)
     for i in range(n):
         for j in range(n):
@@ -209,6 +225,9 @@ def _eigvals_stack(stack: np.ndarray) -> np.ndarray:
             if done.any():
                 out[live[done]] = a[diag, diag][:, done].T
                 keep = ~done
+                if vectors:
+                    out_vt[live[done]] = v[..., done].T
+                    v = v[..., keep]
                 a, live, thr2 = a[..., keep], live[keep], thr2[keep]
                 if not live.size:
                     break
@@ -231,7 +250,10 @@ def _eigvals_stack(stack: np.ndarray) -> np.ndarray:
                         t = np.where(big, 0.5 / theta, t)
                     c = 1.0 / np.sqrt(t * t + 1.0)
                     s = t * c
-                    for first, second in ((a[:, p], a[:, q]), (a[p], a[q])):
+                    pairs = [(a[:, p], a[:, q]), (a[p], a[q])]
+                    if vectors:
+                        pairs.append((v[:, p], v[:, q]))
+                    for first, second in pairs:
                         new_first = c * first - s * second
                         new_second = s * first + c * second
                         if partial:
@@ -239,7 +261,16 @@ def _eigvals_stack(stack: np.ndarray) -> np.ndarray:
                             new_second = np.where(rot, new_second, second)
                         first[...] = new_first
                         second[...] = new_second
-    return np.take_along_axis(out, np.argsort(out, axis=1, kind="stable"), axis=1)
+    order = np.argsort(out, axis=1, kind="stable")
+    w = np.take_along_axis(out, order, axis=1)
+    if not vectors:
+        return w, None
+    vt = np.take_along_axis(out_vt, order[:, :, None], axis=1)
+    # _eigh_core's sign convention per slice: each column's largest-magnitude
+    # entry is made positive, argmax resolving magnitude ties toward the lowest index.
+    top = np.argmax(np.abs(vt), axis=2)[..., None]
+    np.negative(vt, out=vt, where=np.take_along_axis(vt, top, axis=2) < 0.0)
+    return w, vt.transpose(0, 2, 1)
 
 
 def symmetric_eigendecomposition(

@@ -8,6 +8,7 @@ the whole Laplacian, and therefore the connectivity, unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,10 +18,11 @@ import numpy as np
 from .errors import (
     DegenerateFiedlerError,
     InvalidVariationError,
+    NonFiniteError,
     NotLaplacianError,
 )
-from .matrices import SquareMatrix, _eigh_core
-from .spectral import algebraic_connectivity, fiedler_is_simple
+from .matrices import SquareMatrix, _eigh_stack, _stack_slices
+from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
 from .topology import AgentConfiguration, _laplacian_from_positions, validate_laplacian
 
 
@@ -279,16 +281,9 @@ class PathIntegralResult:
         }
 
 
-def _lambda2_gap_fiedler(lap: np.ndarray) -> tuple[float, float, np.ndarray]:
-    # Gap to the nearest neighbor on either side: the second eigenvalue must be
-    # simple for its eigenvector (and derivative) to be well defined.
-    w, v = _eigh_core(lap)
-    gap = float(w[1] - w[0])
-    if lap.shape[0] >= 3:
-        gap = min(gap, float(w[2] - w[1]))
-    return float(w[1]), gap, v[:, 1]
-
-
+# Coordinates near the float64 limit overflow their differences to inf: such
+# agents are out of range, which is the model's answer.
+@np.errstate(over="ignore")
 def integrate_connectivity_change(
     config: AgentConfiguration,
     mobile: int,
@@ -301,8 +296,13 @@ def integrate_connectivity_change(
     ``steps`` midpoint evaluations are spread over the segments by length; the
     direct endpoint difference is returned alongside for comparison.  Aborts if
     the gap isolating the second eigenvalue drops below ``gap_tol`` anywhere
-    along the path (the differential stops being well defined), and warns if
-    any link crosses the range boundary between evaluations.
+    along the path (checked at the start, then the end, then the midpoints in
+    path order), and warns if any link crosses the range boundary between
+    evaluations.  Waypoints must be finite.
+
+    The end points and midpoints are solved in stacks of bounded size, so
+    memory does not grow with ``steps``; every solve is bit-identical to its
+    own single solve, and the quadrature sum runs in path order.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -311,6 +311,9 @@ def integrate_connectivity_change(
     if not 0 <= mobile < n:
         raise IndexError(f"agent index {mobile} out of range for order {n}")
     pts = [np.array([float(w[0]), float(w[1])]) for w in waypoints]
+    for i, point in enumerate(pts):
+        if not np.isfinite(point).all():
+            raise NonFiniteError(f"waypoint {i} is not finite: {point.tolist()}")
     sigma, comm_range = config.sigma, config.comm_range
     ids = config.ids()
 
@@ -323,11 +326,8 @@ def integrate_connectivity_change(
         return PathIntegralResult(0.0, 0.0)
 
     total = sum(length for _, _, length in segments)
-
-    def lap_at(point: np.ndarray) -> np.ndarray:
-        work = pos.copy()
-        work[mobile] = point
-        return _laplacian_from_positions(work, sigma, comm_range)
+    if not math.isfinite(steps * total):
+        raise NonFiniteError(f"path length {total:.3e} times {steps} steps overflows")
 
     def in_range_flags(point: np.ndarray) -> np.ndarray:
         d = np.hypot(*(pos - point).T)
@@ -341,11 +341,6 @@ def integrate_connectivity_change(
                 f"eigenvalue gap {gap:.3e} below {gap_tol:.1e} {where}"
             )
 
-    lam_start, gap, _ = _lambda2_gap_fiedler(lap_at(segments[0][0]))
-    check_gap(gap, "at the path start")
-    lam_end, gap, _ = _lambda2_gap_fiedler(lap_at(segments[-1][1]))
-    check_gap(gap, "at the path end")
-
     warnings: list[str] = []
     warned: set[int] = set()
 
@@ -357,22 +352,38 @@ def integrate_connectivity_change(
                 warnings.append(f"range crossing: link to agent {ids[j]!r} changed state mid-path")
         return new_flags
 
+    def evaluations():
+        # (point, unit direction, step length, label): both ends, then the midpoints.
+        yield segments[0][0], None, 0.0, "at the path start"
+        yield segments[-1][1], None, 0.0, "at the path end"
+        for a, b, length in segments:
+            unit = (b - a) / length
+            count = max(1, round(steps * length / total))
+            h = length / count
+            for k in range(count):
+                yield a + (k + 0.5) * h * unit, unit, h, k + 0.5
+
+    schedule = evaluations()
+    per_chunk = _stack_slices(n, vectors=True)
+    ends: list[float] = []
     flags = in_range_flags(segments[0][0])
     integral = 0.0
-    for a, b, length in segments:
-        unit = (b - a) / length
-        count = max(1, round(steps * length / total))
-        h = length / count
-        for k in range(count):
-            mid = a + (k + 0.5) * h * unit
-            work = pos.copy()
-            work[mobile] = mid
-            lap = _laplacian_from_positions(work, sigma, comm_range)
-            _, gap, fiedler = _lambda2_gap_fiedler(lap)
-            check_gap(gap, f"along the path (arc position {k + 0.5:.1f} of segment)")
-            dlap = _motion_derivative(work, sigma, comm_range, mobile, unit)
+    while chunk := list(itertools.islice(schedule, per_chunk)):
+        work = np.repeat(pos[None], len(chunk), axis=0)
+        work[:, mobile] = [point for point, _, _, _ in chunk]
+        values, vectors = _eigh_stack(_laplacian_from_positions(work, sigma, comm_range), vectors=True)
+        gaps = fiedler_gap(values).tolist()
+        for i, (point, unit, h, label) in enumerate(chunk):
+            if unit is None:
+                check_gap(gaps[i], label)
+                ends.append(float(values[i, 1]))
+                continue
+            check_gap(gaps[i], f"along the path (arc position {label:.1f} of segment)")
+            fiedler = vectors[i, :, 1]
+            dlap = _motion_derivative(work[i], sigma, comm_range, mobile, unit)
             integral += float(fiedler @ dlap @ fiedler) * h
-            flags = note_crossings(flags, in_range_flags(mid))
+            flags = note_crossings(flags, in_range_flags(point))
     note_crossings(flags, in_range_flags(segments[-1][1]))
 
+    lam_start, lam_end = ends
     return PathIntegralResult(integral, lam_end - lam_start, tuple(warnings))

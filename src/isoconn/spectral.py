@@ -64,6 +64,20 @@ def algebraic_connectivity(
     )
 
 
+def fiedler_gap(values: np.ndarray) -> np.ndarray:
+    """Gap isolating the second eigenvalue: min(w[1] - w[0], w[2] - w[1]).
+
+    ``values`` is a (..., n) array of ascending eigenvalues with n >= 2; at
+    n = 2 only the lower gap exists.  Like Python's ``min``, the lower gap is
+    kept unless the upper one is strictly smaller.
+    """
+    lower = values[..., 1] - values[..., 0]
+    if values.shape[-1] < 3:
+        return lower
+    upper = values[..., 2] - values[..., 1]
+    return np.where(upper < lower, upper, lower)
+
+
 def fiedler_is_simple(report: ConnectivityReport) -> bool:
     """True when the second eigenvalue is separated from both neighbors.
 
@@ -71,8 +85,7 @@ def fiedler_is_simple(report: ConnectivityReport) -> bool:
     disconnected graph has its second eigenvalue glued to the zero eigenvalue
     instead, which makes the Fiedler vector just as ill-defined.
     """
-    lower = float(report.spectrum[1] - report.spectrum[0])
-    return not report.degenerate and lower >= DEGENERACY_GAP
+    return bool(fiedler_gap(report.spectrum) >= DEGENERACY_GAP)
 
 
 def is_isospectral(a: SquareMatrix, b: SquareMatrix, tol: float = DEFAULT_EIGENVALUE_TOL) -> bool:

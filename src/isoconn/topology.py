@@ -118,8 +118,11 @@ def adjacency_weight(distance: float, sigma: float, comm_range: float) -> float:
 
 def _weights_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
     # pos is (..., n, 2); leading axes stack independent configurations.
-    diff = pos[..., :, None, :] - pos[..., None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    # Distances between coordinates near the float64 limit overflow to inf,
+    # which puts the pair out of range: the right weight, 0.
+    with np.errstate(over="ignore"):
+        diff = pos[..., :, None, :] - pos[..., None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
     w = np.where(dist <= comm_range, np.exp(-(sigma / comm_range) * dist), 0.0)
     idx = np.arange(pos.shape[-2])
     w[..., idx, idx] = 0.0

@@ -18,13 +18,10 @@ from .errors import (
     NegativeDiscriminantError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _eigh_core, _eigvals_stack
+from .matrices import SquareMatrix, _eigh_core, _eigh_stack, _stack_slices
 from .topology import AgentConfiguration, _laplacian_from_positions, build_laplacian
 
 TARGET_CONNECTIVITY = 4.0
-# Matrix entries per solved zone-scan stack (256 KiB): bounds a scan's memory
-# whatever its grid or order.
-_ZONE_CHUNK_ENTRIES = 1 << 15
 
 
 def _check_parameters(alpha: float, beta: float) -> None:
@@ -201,13 +198,13 @@ def iso_connectivity_zone(
     coincident = (points[:, None, :] == others[None, :, :]).all(axis=-1).any(axis=-1)
     live = np.nonzero(~coincident)[0]
     lam2 = np.full(len(cells), np.nan)  # stays NaN on coincident cells
-    per_chunk = max(1, _ZONE_CHUNK_ENTRIES // (n * n))
+    per_chunk = _stack_slices(n, vectors=False)
     for start in range(0, live.size, per_chunk):
         chunk = live[start:start + per_chunk]
         work = np.repeat(pos[None], chunk.size, axis=0)
         work[:, mobile] = points[chunk]
         laps = _laplacian_from_positions(work, config.sigma, config.comm_range)
-        lam2[chunk] = _eigvals_stack(laps)[:, 1]
+        lam2[chunk] = _eigh_stack(laps)[0][:, 1]
     accepted: list[ZonePoint] = []
     rejected = 0
     for (x, y), skip, lam in zip(cells, coincident.tolist(), lam2.tolist()):

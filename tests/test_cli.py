@@ -267,6 +267,67 @@ class TestIntegrate:
         assert code == 1
         assert json.loads(err)["error"] == "DegenerateFiedler"
 
+    def test_multi_stack_path_stdout_unchanged(self, tmp_path, capsys):
+        # Order 8 and 600 steps: three stacks of solves and two range crossings.
+        # The golden file holds the stdout of the one-solve-per-point walk.
+        points = [(3.2, 5.7), (2.2, 0.7), (7.8, 4.5), (5.2, 4.6), (3.8, 1.0), (2.5, 5.9), (7.3, 7.1), (7.6, 0.2)]
+        config = {
+            "sigma": 1.0,
+            "range": 4.0,
+            "agents": [{"id": f"a{i + 1}", "x": x, "y": y} for i, (x, y) in enumerate(points)],
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        path_file = tmp_path / "path.json"
+        path_file.write_text(
+            json.dumps({"mobile": "a1", "waypoints": [[3.2, 5.7], [5.9, 5.4], [5.0, 5.1]], "steps": 600})
+        )
+        argv = ["integrate", "--input", str(config_path), "--path", str(path_file), "--precision", "full"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert len(json.loads(out)["warnings"]) == 2
+        assert out.encode() == (DATA / "integrate_two_crossings.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "waypoint,error",
+        [
+            ("[NaN, 2.2]", "NonFinite"),
+            ("[Infinity, 2.2]", "NonFinite"),
+            # Far out of range, so the walk ends disconnected.
+            ("[1e300, -1e300]", "DegenerateFiedler"),
+            # 50 steps times the path length overflows float64.
+            ("[1e308, -1e308]", "NonFinite"),
+        ],
+        ids=["nan", "inf", "huge", "overflow"],
+    )
+    def test_extreme_waypoint_is_a_json_domain_error(self, workdir, waypoint, error):
+        import subprocess
+        import sys
+
+        base, _, _ = workdir
+        config_path = base / "connected.json"
+        config_path.write_text(
+            json.dumps(
+                {"sigma": 1.0, "range": 10.0, "agents": [
+                    {"id": "a1", "x": 0.0, "y": 0.0},
+                    {"id": "a2", "x": 4.0, "y": 0.0},
+                    {"id": "a3", "x": 1.0, "y": 2.0},
+                ]}
+            )
+        )
+        path_file = base / "path.json"
+        # Written by hand: NaN and Infinity are the tokens Python's json reads.
+        path_file.write_text(
+            '{"mobile": "a3", "waypoints": [[1.0, 2.0], %s], "steps": 50}' % waypoint
+        )
+        cmd = [sys.executable, "-m", "isoconn", "integrate", "--input", str(config_path), "--path", str(path_file)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines and json.loads(lines[0])["error"] == error
+        for line in lines:
+            json.loads(line)  # no warning text, only JSON
+
 
 class TestZone:
     def test_grid_scan(self, workdir, capsys):

@@ -20,9 +20,9 @@ from isoconn import (
     validate_iso_transform,
 )
 from isoconn import matrices
-from isoconn.matrices import _eigh_core, _eigvals_stack
+from isoconn.matrices import _eigh_core, _eigh_stack
 from isoconn.topology import _laplacian_from_positions
-from conftest import L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS, geometric_config
+from conftest import K4_ROWS, L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS, geometric_config
 
 
 def random_symmetric(seed, n, lo=-10.0, hi=10.0):
@@ -181,11 +181,18 @@ def sweeps_needed(m):
 
 
 def assert_rows_match_single_solves(stack):
-    values = _eigvals_stack(stack)
-    assert values.shape == stack.shape[:2]
+    """Both stacked variants against the single solve, slice by slice."""
+    values, none = _eigh_stack(stack)
+    assert none is None and values.shape == stack.shape[:2]
+    with_vectors, vectors = _eigh_stack(stack, vectors=True)
+    assert vectors.shape == stack.shape
     for g in range(stack.shape[0]):
+        w, v = _eigh_core(stack[g])
         # tobytes also tells -0.0 from 0.0.
-        assert values[g].tobytes() == _eigh_core(stack[g])[0].tobytes(), g
+        assert values[g].tobytes() == with_vectors[g].tobytes() == w.tobytes(), g
+        assert vectors[g].tobytes() == v.tobytes(), g
+        # Same memory layout too: products with a strided column round differently.
+        assert vectors[g].strides == v.strides, g
 
 
 class TestEigvalsStack:
@@ -211,7 +218,7 @@ class TestEigvalsStack:
             ]
         )
         assert_rows_match_single_solves(stack)
-        assert np.array_equal(_eigvals_stack(stack)[0], [-0.0, 0.0, 1.0, 3.0])
+        assert np.array_equal(_eigh_stack(stack)[0][0], [-0.0, 0.0, 1.0, 3.0])
 
     def test_slices_converging_on_different_sweeps(self):
         one_pair = np.diag([1.0, 2.0, 3.0, 4.0])
@@ -237,6 +244,11 @@ class TestEigvalsStack:
             [[2.0, -1e-300, 2.0, 3.0], [-1e-300, 2.0, 0.0, 1.0], [2.0, 0.0, 0.0, 3.0], [3.0, 1.0, 3.0, -1e-300]],
             # Tiny off-diagonal entries: |theta| > 1e150 takes the overflow-safe branch.
             [[0.0, 1e-160, 0.0, 3.0], [1e-160, -1.0, 1.0, 1e-160], [0.0, 1.0, 0.0, 3.0], [3.0, 1e-160, 3.0, 0.5]],
+            # Exact |v| ties in the eigenvectors: the lowest tied index decides the sign,
+            # whether its entry comes out of the sweeps positive or negative.
+            [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, -1.0], [0.0, 0.0, -1.0, 3.0]],
+            PATH4_ROWS,
+            K4_ROWS,
         ],
     )
     def test_edge_rotations_bit_identical(self, rows):
@@ -245,11 +257,17 @@ class TestEigvalsStack:
 
     def test_signed_zero_eigenvalues_keep_their_order(self):
         zeros = np.diag([-0.0, 0.0] * 40)
-        values = _eigvals_stack(zeros[None])
-        assert values[0].tobytes() == np.diag(zeros).tobytes() == _eigh_core(zeros)[0].tobytes()
+        assert_rows_match_single_solves(zeros[None])
+        assert _eigh_stack(zeros[None])[0][0].tobytes() == np.diag(zeros).tobytes()
 
     def test_empty_stack(self):
-        assert _eigvals_stack(np.empty((0, 3, 3))).shape == (0, 3)
+        for want_vectors in (False, True):
+            values, vectors = _eigh_stack(np.empty((0, 3, 3)), want_vectors)
+            assert values.shape == (0, 3)
+            if want_vectors:
+                assert vectors.shape == (0, 3, 3)
+            else:
+                assert vectors is None
 
     def test_convergence_error_matches_single_solve(self, monkeypatch):
         dense = random_symmetric(11, 6).entries
@@ -257,9 +275,10 @@ class TestEigvalsStack:
         monkeypatch.setattr(matrices, "_MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError) as single:
             _eigh_core(dense)
-        with pytest.raises(ConvergenceError) as stacked:
-            _eigvals_stack(stack)
-        assert str(stacked.value) == str(single.value) == "no convergence after 1 sweeps (order 6)"
+        for vectors in (False, True):
+            with pytest.raises(ConvergenceError) as stacked:
+                _eigh_stack(stack, vectors)
+            assert str(stacked.value) == str(single.value) == "no convergence after 1 sweeps (order 6)"
 
 
 class TestPermutationMatrix:

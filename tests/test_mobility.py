@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoconn import (
+    AnalysisError,
     DegenerateFiedlerError,
     InvalidVariationError,
+    NonFiniteError,
     SquareMatrix,
     algebraic_connectivity,
     block_decompose,
@@ -19,6 +21,10 @@ from isoconn import (
     mirror_moves,
     symmetric_eigendecomposition,
 )
+from isoconn import matrices, mobility
+from isoconn.matrices import _eigh_core, _eigh_stack, _stack_slices
+from isoconn.mobility import _motion_derivative
+from isoconn.topology import _laplacian_from_positions
 from conftest import make_config, random_config
 
 
@@ -306,3 +312,178 @@ class TestIntegrateConnectivityChange:
         )
         data = result.to_json_dict()
         assert set(data) == {"integral", "direct", "difference", "warnings"}
+
+
+def one_solve_per_point(config, mobile, waypoints, steps, gap_tol=1e-6):
+    """The path integral with one _eigh_core solve per evaluation point, in path order.
+
+    This is the walk the stacked solves must reproduce bit for bit: the ends
+    are solved and gap-checked first, then each midpoint in turn.
+    """
+    pos = config.positions()
+    pts = [np.array([float(w[0]), float(w[1])]) for w in waypoints]
+    sigma, comm_range = config.sigma, config.comm_range
+    ids = config.ids()
+    segments = []
+    for a, b in zip(pts, pts[1:]):
+        length = float(np.hypot(*(b - a)))
+        if length > 0.0:
+            segments.append((a, b, length))
+    if not segments:
+        return mobility.PathIntegralResult(0.0, 0.0)
+    total = sum(length for _, _, length in segments)
+
+    def solve(point):
+        work = pos.copy()
+        work[mobile] = point
+        w, v = _eigh_core(_laplacian_from_positions(work, sigma, comm_range))
+        gap = float(w[1] - w[0])
+        if len(w) >= 3:
+            gap = min(gap, float(w[2] - w[1]))
+        if gap < gap_tol:
+            raise DegenerateFiedlerError(f"eigenvalue gap {gap:.3e} below {gap_tol:.1e} {where}")
+        return work, float(w[1]), v[:, 1]
+
+    def flags_at(point):
+        flags = np.hypot(*(pos - point).T) <= comm_range
+        flags[mobile] = True
+        return flags
+
+    where = "at the path start"
+    _, lam_start, _ = solve(segments[0][0])
+    where = "at the path end"
+    _, lam_end, _ = solve(segments[-1][1])
+    warnings, warned = [], set()
+
+    def note(flags, new_flags):
+        for j in np.nonzero(new_flags != flags)[0]:
+            if j != mobile and j not in warned:
+                warned.add(int(j))
+                warnings.append(f"range crossing: link to agent {ids[j]!r} changed state mid-path")
+        return new_flags
+
+    flags = flags_at(segments[0][0])
+    integral = 0.0
+    for a, b, length in segments:
+        unit = (b - a) / length
+        count = max(1, round(steps * length / total))
+        h = length / count
+        for k in range(count):
+            mid = a + (k + 0.5) * h * unit
+            where = f"along the path (arc position {k + 0.5:.1f} of segment)"
+            work, _, fiedler = solve(mid)
+            dlap = _motion_derivative(work, sigma, comm_range, mobile, unit)
+            integral += float(fiedler @ dlap @ fiedler) * h
+            flags = note(flags, flags_at(mid))
+    note(flags, flags_at(segments[-1][1]))
+    return mobility.PathIntegralResult(integral, lam_end - lam_start, tuple(warnings))
+
+
+def outcome(integrate, *args):
+    """Every output bit of a path integral, or its error's type and message."""
+    try:
+        r = integrate(*args)
+    except AnalysisError as exc:
+        return type(exc).__name__, str(exc)
+    return r.integral.hex(), r.direct.hex(), r.warnings
+
+
+def seeded_walk(seed, n):
+    """Random agents, a range of 3, 6 or 100 and a 1-3 segment walk from the mobile agent.
+
+    Every third walk returns to its start, so that only a midpoint can
+    disconnect the graph.
+    """
+    rng = np.random.default_rng([seed, n])
+    pts = rng.uniform(0.0, 8.0, size=(n, 2))
+    config = make_config(pts, sigma=1.0, comm_range=(3.0, 6.0, 100.0)[seed % 3])
+    mobile = int(rng.integers(n))
+    waypoints = [tuple(pts[mobile])] + [tuple(p) for p in rng.uniform(-1.0, 9.0, size=(int(rng.integers(1, 4)), 2))]
+    if seed % 3 == 1:
+        waypoints.append(waypoints[0])
+    return config, mobile, waypoints, int(rng.integers(30, 100))
+
+
+class TestStackedPathSolves:
+    """The stacked path integral against the one-solve-per-point walk, bit for bit."""
+
+    def test_seeded_walks_bit_identical(self, monkeypatch):
+        kinds = set()
+        for n in range(2, 17):
+            for seed in range(4):
+                args = seeded_walk(seed, n)
+                expected = outcome(one_solve_per_point, *args)
+                assert outcome(integrate_connectivity_change, *args) == expected, (n, seed)
+                if n <= 8:
+                    # Seven points per stack: stack boundaries fall all over the walk.
+                    with monkeypatch.context() as m:
+                        m.setattr(matrices, "_STACK_ENTRIES", 7 * 2 * n * n)
+                        assert outcome(integrate_connectivity_change, *args) == expected, (n, seed)
+                if len(expected) == 2:
+                    kinds.add(expected[1].split(" below ")[1].partition(" ")[2].split(" (")[0])
+                else:
+                    kinds.add("crossing" if expected[2] else "clean")
+                    if args[3] + 2 > _stack_slices(n, vectors=True):
+                        kinds.add("several stacks")
+        assert kinds == {
+            "at the path start", "at the path end", "along the path", "crossing", "clean", "several stacks"
+        }
+
+    def test_stacks_stay_within_the_entry_budget(self, monkeypatch):
+        n = 8
+        config, mobile, waypoints, _ = seeded_walk(2, n)
+        steps = 600
+        sizes = []
+
+        def recording(stack, vectors=False):
+            assert vectors
+            sizes.append(2 * stack.size)  # the Laplacians and their eigenvectors
+            return _eigh_stack(stack, vectors)
+
+        expected = outcome(one_solve_per_point, config, mobile, waypoints, steps)
+        monkeypatch.setattr(mobility, "_eigh_stack", recording)
+        assert outcome(integrate_connectivity_change, config, mobile, waypoints, steps) == expected
+        assert len(expected) == 3
+        assert len(sizes) == 3 and max(sizes) <= matrices._STACK_ENTRIES
+
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            # The mobile agent starts out of everyone's range.
+            ([(20.0, 0.0), (1.0, 1.0)], "at the path start"),
+            ([(1.0, 1.0), (20.0, 0.0)], "at the path end"),
+            # A round trip that leaves the range on the way.
+            ([(1.0, 1.0), (1.0, 9.0), (1.0, 1.0)], "along the path (arc position"),
+        ],
+    )
+    def test_gap_errors_keep_their_order(self, monkeypatch, points, message):
+        config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)], comm_range=3.0)
+        args = (config, 2, points, 120)
+        expected = outcome(one_solve_per_point, *args)
+        assert expected[0] == "DegenerateFiedlerError" and message in expected[1]
+        assert outcome(integrate_connectivity_change, *args) == expected
+        # One point per stack: the start, the end and each midpoint solved alone.
+        monkeypatch.setattr(matrices, "_STACK_ENTRIES", 2 * 3 * 3)
+        assert outcome(integrate_connectivity_change, *args) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_waypoint_rejected(self, bad):
+        config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(NonFiniteError, match="waypoint 1"):
+            integrate_connectivity_change(config, 2, [(1.0, 1.0), (bad, 2.2)], 50)
+
+    def test_huge_finite_waypoint_is_out_of_range(self):
+        # The suite turns numpy warnings into failures, so this also checks the
+        # overflowing distances stay silent.  The walk really ends disconnected.
+        config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(DegenerateFiedlerError, match="at the path end"):
+            integrate_connectivity_change(config, 2, [(1.0, 1.0), (1e300, -1e300)], 50)
+
+    @pytest.mark.parametrize(
+        "points", [[(1.0, 1.0), (1e308, -1e308)], [(-1e308, 0.0), (1e308, 0.0)]]
+    )
+    def test_overflowing_step_schedule_rejected(self, points):
+        # steps * path length is not a finite float64, so no step length exists.
+        config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(NonFiniteError, match="overflows"):
+            integrate_connectivity_change(config, 2, points, 50)

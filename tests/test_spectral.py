@@ -17,6 +17,7 @@ from isoconn import (
     ones_axis_rotation,
     permutation_matrix,
 )
+from isoconn.spectral import DEGENERACY_GAP, ConnectivityReport, fiedler_gap, fiedler_is_simple
 from conftest import FIEDLER_DIRECTION, L1_ROWS, L1_SPECTRUM
 
 
@@ -58,6 +59,32 @@ class TestAlgebraicConnectivity:
     def test_json_shape(self, l1):
         data = algebraic_connectivity(l1).to_json_dict()
         assert set(data) == {"lambda2", "fiedler", "degenerate", "spectrum"}
+
+
+class TestFiedlerGap:
+    def test_stacked_values(self):
+        values = np.array([[0.0, 1.0, 3.0], [0.0, 2.0, 2.5], [0.0, 0.0, 1.0], [-0.0, 0.0, 0.0]])
+        gap = fiedler_gap(values)
+        assert gap.tolist() == [1.0, 0.5, 0.0, 0.0]
+        assert [math.copysign(1.0, g) for g in gap] == [1.0] * 4
+        assert fiedler_gap(np.array([[0.0, 0.5], [1.0, 1.0]])).tolist() == [0.5, 0.0]
+
+    def test_keeps_the_lower_gap_unless_the_upper_is_strictly_smaller(self):
+        # Python's min(lower, upper): on a tie of 0.0 and -0.0 the lower one is kept.
+        assert math.copysign(1.0, fiedler_gap(np.array([-0.0, 0.0, 0.0]))) == 1.0
+        assert math.copysign(1.0, fiedler_gap(np.array([0.0, 0.0, -0.0]))) == 1.0
+        assert math.copysign(1.0, fiedler_gap(np.array([0.0, -0.0, 0.0]))) == -1.0
+
+    @given(
+        spectrum=st.lists(st.sampled_from([0.0, 1e-10, 5e-10, 1e-9, 2e-9, 1.0]), min_size=2, max_size=4)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_simplicity_equals_the_two_sided_rule(self, spectrum):
+        w = np.cumsum(spectrum)
+        degenerate = len(w) >= 3 and bool(w[2] - w[1] < DEGENERACY_GAP)
+        report = ConnectivityReport(float(w[1]), np.zeros(len(w)), degenerate, w)
+        expected = not degenerate and float(w[1] - w[0]) >= DEGENERACY_GAP
+        assert fiedler_is_simple(report) is expected
 
 
 class TestIsIsospectral:

@@ -96,6 +96,12 @@ class TestStackedBuild:
         lap = _laplacian_from_positions(pos, 1.0, 10.0)
         assert lap.tobytes() == expected.tobytes()
 
+    def test_overflowing_distances_are_out_of_range(self):
+        # Differences near the float64 limit overflow; the suite turns the
+        # numpy overflow warning into a failure, so this also checks it is silent.
+        pos = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308], [0.0, 0.0]])
+        w = _weights_from_positions(pos, 1.0, 10.0)
+        assert np.array_equal(w, np.zeros((4, 4)))
 
 class TestValidateLaplacian:
     def test_base_matrix_is_connected(self, l1):

@@ -17,8 +17,8 @@ from isoconn import (
     mirror_moves,
     symmetric_eigendecomposition,
 )
-from isoconn import zones
-from isoconn.matrices import _eigh_core, _eigvals_stack
+from isoconn import matrices, zones
+from isoconn.matrices import _eigh_core, _eigh_stack, _stack_slices
 from conftest import L4P_ROWS, L4PP_ROWS, L4P_SPECTRUM, L4PP_SPECTRUM, geometric_config, make_config
 
 
@@ -259,15 +259,16 @@ class TestZoneMatchesPerCellScan:
         n = 8
         config = geometric_config(np.random.default_rng(21), n)
         grid = GridSpec(-1.0, 8.0, -1.0, 8.0, 24, 24)
-        assert grid.nx * grid.ny > zones._ZONE_CHUNK_ENTRIES // (n * n)
+        assert grid.nx * grid.ny > _stack_slices(n, vectors=False)
         sizes = []
 
-        def recording(stack):
+        def recording(stack, vectors=False):
+            assert not vectors  # a zone scan needs eigenvalues only
             sizes.append(stack.size)
-            return _eigvals_stack(stack)
+            return _eigh_stack(stack, vectors)
 
-        monkeypatch.setattr(zones, "_eigvals_stack", recording)
+        monkeypatch.setattr(zones, "_eigh_stack", recording)
         target = float(_eigh_core(build_laplacian(config).entries)[0][1])
         data = assert_same_zone(config, 3, grid, tol=0.2 * target)
         assert data["accepted"] and data["rejected_count"]
-        assert len(sizes) == 2 and max(sizes) <= zones._ZONE_CHUNK_ENTRIES
+        assert len(sizes) == 2 and max(sizes) <= matrices._STACK_ENTRIES
