@@ -23,7 +23,7 @@ from .matrices import (
 )
 from .mobility import integrate_connectivity_change, mirror_moves
 from .render import render_configuration_svg, render_matrix_svg
-from .spectral import algebraic_connectivity, is_isospectral
+from .spectral import _spectra_agree, algebraic_connectivity
 from .topology import AgentConfiguration, build_laplacian
 from .zones import (
     GridSpec,
@@ -199,13 +199,16 @@ def _cmd_isospectral(args):
     if args.enumerate:
         if len(paths) != 1:
             raise CliInputError("--enumerate needs exactly one --matrix file")
-        entries = permutation_family(
-            _load_matrix(paths[0]),
-            limit=args.limit,
-            dedupe=args.dedupe,
-            sample=args.sample,
-            seed=args.seed,
-        )
+        try:
+            entries = permutation_family(
+                _load_matrix(paths[0]),
+                limit=args.limit,
+                dedupe=args.dedupe,
+                sample=args.sample,
+                seed=args.seed,
+            )
+        except ValueError as exc:  # --limit below 1, or sampling without one
+            raise CliInputError(str(exc)) from exc
         return [e.to_json_dict() for e in entries]
     if len(paths) != 2:
         raise CliInputError("comparison needs exactly two --matrix files")
@@ -213,7 +216,7 @@ def _cmd_isospectral(args):
     wa = symmetric_eigendecomposition(a).eigenvalues
     wb = symmetric_eigendecomposition(b).eigenvalues
     return {
-        "isospectral": is_isospectral(a, b, tol=args.tol),
+        "isospectral": _spectra_agree(wa, wb, args.tol),
         "tol": args.tol,
         "spectra": [[float(x) for x in wa], [float(x) for x in wb]],
     }
@@ -277,12 +280,18 @@ def _cmd_zone(args):
     config = _load_config(args.input)
     mobile = _resolve_mobile(config, args.mobile)
     xmin, xmax, ymin, ymax = _parse_floats(args.bounds, 4, "--bounds")
-    nx, ny = (int(v) for v in _parse_floats(args.resolution, 2, "--resolution"))
+    try:
+        nx, ny = (int(v) for v in _parse_floats(args.resolution, 2, "--resolution"))
+    except (ValueError, OverflowError) as exc:
+        raise CliInputError(f"--resolution: {exc}") from exc
     try:
         grid = GridSpec(xmin, xmax, ymin, ymax, nx, ny)
     except AnalysisError as exc:
         raise CliInputError(str(exc)) from exc
-    sample = iso_connectivity_zone(config, mobile, grid, target=args.target, tol=args.tol)
+    try:
+        sample = iso_connectivity_zone(config, mobile, grid, target=args.target, tol=args.tol)
+    except ValueError as exc:  # --tol not positive, or --tol/--target not finite
+        raise CliInputError(str(exc)) from exc
     return sample.to_json_dict()
 
 

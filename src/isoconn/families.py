@@ -175,7 +175,9 @@ def relabel_configuration(config: AgentConfiguration, perm: Sequence[int]) -> Ag
     """Reorder agents so the new Laplacian is the permutation conjugate of the old.
 
     Agent ids travel with their positions; with J = permutation_matrix(perm),
-    build_laplacian(result) equals J.T @ build_laplacian(config) @ J exactly.
+    build_laplacian(result) equals J.T @ build_laplacian(config) @ J: exactly
+    off the diagonal, and on it up to the rounding of summing each agent's
+    link weights in another order.
     """
     p = _as_permutation(perm)
     if len(p) != len(config.agents):

@@ -39,7 +39,6 @@ class BlockDecomposition:
 
     reduced: SquareMatrix
     coupling: np.ndarray
-    coupling_diag: SquareMatrix
     coupling_total: float
     agent: int
     rest: tuple[int, ...]
@@ -48,6 +47,10 @@ class BlockDecomposition:
         arr = np.array(self.coupling, dtype=float)
         arr.flags.writeable = False
         object.__setattr__(self, "coupling", arr)
+
+    @property
+    def coupling_diag(self) -> SquareMatrix:
+        return SquareMatrix(np.diag(self.coupling))
 
     def reassemble(self) -> SquareMatrix:
         """Rebuild the full matrix, in the original index order."""
@@ -74,12 +77,10 @@ def block_decompose(laplacian: SquareMatrix, agent: int) -> BlockDecomposition:
     rest = tuple(i for i in range(n) if i != agent)
     idx = np.array(rest)
     coupling = -m[idx, agent]
-    coupling_diag = np.diag(coupling)
-    reduced = m[np.ix_(idx, idx)] - coupling_diag
+    reduced = m[np.ix_(idx, idx)] - np.diag(coupling)
     return BlockDecomposition(
         reduced=SquareMatrix(reduced),
         coupling=coupling,
-        coupling_diag=SquareMatrix(coupling_diag),
         coupling_total=float(m[agent, agent]),
         agent=agent,
         rest=rest,

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiedlerError, NotLaplacianError, OrderMismatchError
-from .matrices import SquareMatrix, symmetric_eigendecomposition
-from .topology import validate_laplacian
+from .matrices import SYMMETRY_TOL, SquareMatrix, _check_symmetric, symmetric_eigendecomposition
+from .topology import _validated_eigensystem
 
 DEFAULT_EIGENVALUE_TOL = 1e-9
 DEFAULT_RESIDUAL_TOL = 1e-8
@@ -50,15 +50,16 @@ def algebraic_connectivity(
     """Connectivity report for a structurally valid Laplacian."""
     if laplacian.order < 2:
         raise NotLaplacianError("need order >= 2 for a second eigenvalue")
-    checks = validate_laplacian(laplacian, tol)
+    checks, w, v = _validated_eigensystem(laplacian, tol, vectors=True)
     if not checks.passed:
         raise NotLaplacianError(f"structural validation failed: {checks.to_json_dict()}")
-    decomp = symmetric_eigendecomposition(laplacian)
-    w = decomp.eigenvalues
+    # Validation passes asymmetries up to ``tol``; the eigensystem, read from
+    # the symmetrized matrix, stands for the input only up to SYMMETRY_TOL.
+    _check_symmetric(laplacian.entries, SYMMETRY_TOL)
     degenerate = laplacian.order >= 3 and bool(w[2] - w[1] < DEGENERACY_GAP)
     return ConnectivityReport(
         lambda2=float(w[1]),
-        fiedler=decomp.eigenvectors[:, 1],
+        fiedler=v[:, 1],
         degenerate=degenerate,
         spectrum=w,
     )
@@ -88,13 +89,23 @@ def fiedler_is_simple(report: ConnectivityReport) -> bool:
     return bool(fiedler_gap(report.spectrum) >= DEGENERACY_GAP)
 
 
+def _require_same_order(p: int, q: int) -> None:
+    if p != q:
+        raise OrderMismatchError(f"orders differ: {p} vs {q}")
+
+
+def _spectra_agree(wa: np.ndarray, wb: np.ndarray, tol: float) -> bool:
+    """``is_isospectral``'s verdict on two spectra already solved."""
+    _require_same_order(wa.size, wb.size)
+    return bool(np.abs(wa - wb).max() <= tol)
+
+
 def is_isospectral(a: SquareMatrix, b: SquareMatrix, tol: float = DEFAULT_EIGENVALUE_TOL) -> bool:
     """True when the full sorted spectra agree element-wise within ``tol``."""
-    if a.order != b.order:
-        raise OrderMismatchError(f"orders differ: {a.order} vs {b.order}")
+    _require_same_order(a.order, b.order)
     wa = symmetric_eigendecomposition(a).eigenvalues
     wb = symmetric_eigendecomposition(b).eigenvalues
-    return bool(np.abs(wa - wb).max() <= tol)
+    return _spectra_agree(wa, wb, tol)
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,7 @@ def fiedler_null_space_check(
     Both inputs must be valid Laplacians with a simple second eigenvalue;
     degenerate inputs are refused because the Fiedler vector is not unique there.
     """
-    if base.order != other.order:
-        raise OrderMismatchError(f"orders differ: {base.order} vs {other.order}")
+    _require_same_order(base.order, other.order)
     rep_a = algebraic_connectivity(base)
     rep_b = algebraic_connectivity(other)
     if not (fiedler_is_simple(rep_a) and fiedler_is_simple(rep_b)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAgentsError
-from .matrices import SquareMatrix, symmetric_eigendecomposition
+from .matrices import SquareMatrix, _eigh_stack, _symmetrized
 
 CONNECTIVITY_TOL = 1e-9
 
@@ -183,18 +183,34 @@ def validate_laplacian(matrix: SquareMatrix, tol: float) -> LaplacianValidation:
     asymmetric input still gets a meaningful report; a single node counts as
     connected.
     """
+    return _validated_eigensystem(matrix, tol, vectors=False)[0]
+
+
+def _validated_eigensystem(
+    matrix: SquareMatrix, tol: float, vectors: bool
+) -> tuple[LaplacianValidation, np.ndarray, np.ndarray | None]:
+    """``validate_laplacian``'s flags with the eigensystem they were read from.
+
+    The eigenvalues (and, with ``vectors``, the eigenvectors) are those of the
+    symmetrized matrix, so a caller that needs the spectrum of an already
+    symmetric Laplacian solves it only once.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = matrix.entries
     n = matrix.order
-    symmetric = float(np.abs(m - m.T).max()) <= tol
-    zero_row_sums = float(np.abs(m.sum(axis=1)).max()) <= tol
+    # Entries near the float64 limit overflow these sums: the flag is then false.
+    with np.errstate(over="ignore", invalid="ignore"):
+        symmetric = float(np.abs(m - m.T).max()) <= tol
+        zero_row_sums = float(np.abs(m.sum(axis=1)).max()) <= tol
     off = m[~np.eye(n, dtype=bool)]
     nonpositive_offdiag = bool(off.size == 0 or off.max() <= tol)
-    decomp = symmetric_eigendecomposition(SquareMatrix(0.5 * (m + m.T)))
-    psd = bool(decomp.eigenvalues[0] >= -tol)
-    connected = True if n == 1 else bool(decomp.eigenvalues[1] > tol)
-    return LaplacianValidation(symmetric, zero_row_sums, nonpositive_offdiag, psd, connected)
+    w, v = _eigh_stack(_symmetrized(m)[None], vectors)
+    w = w[0]
+    psd = bool(w[0] >= -tol)
+    connected = True if n == 1 else bool(w[1] > tol)
+    checks = LaplacianValidation(symmetric, zero_row_sums, nonpositive_offdiag, psd, connected)
+    return checks, w, None if v is None else v[0]
 
 
 def is_connected(config: AgentConfiguration) -> bool:

@@ -16,10 +16,11 @@ import numpy as np
 from .errors import (
     EmptyGridError,
     NegativeDiscriminantError,
+    NonFiniteError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _eigh_core, _eigh_stack, _stack_slices
-from .topology import AgentConfiguration, _laplacian_from_positions, build_laplacian
+from .matrices import SquareMatrix, _eigh_stack, _stack_slices
+from .topology import AgentConfiguration, _laplacian_from_positions
 
 TARGET_CONNECTIVITY = 4.0
 
@@ -93,8 +94,7 @@ def dense_family_validity(alpha: float, beta: float, tol: float = 1e-9) -> Valid
     _check_parameters(alpha, beta)
     root = math.sqrt(_discriminant(alpha, beta))
     inequality_holds = 2.0 + alpha + beta + root > 4.0
-    w, _ = _eigh_core(dense_family_laplacian(alpha, beta).entries)
-    lambda2 = float(w[1])
+    lambda2 = float(_eigh_stack(dense_family_laplacian(alpha, beta).entries[None])[0][0, 1])
     at_target = abs(lambda2 - TARGET_CONNECTIVITY) <= tol
     return ValidityCheck(
         inequality_holds=inequality_holds,
@@ -118,11 +118,17 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1 or self.xmax < self.xmin or self.ymax < self.ymin:
             raise EmptyGridError(f"grid has no cells: {self}")
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
+            raise NonFiniteError(f"grid bounds must be finite: {self}")
+        if not all(map(math.isfinite, self._cell_size())):
+            raise NonFiniteError(f"grid cell size overflows float64: {self}")
+
+    def _cell_size(self) -> tuple[float, float]:
+        return (self.xmax - self.xmin) / self.nx, (self.ymax - self.ymin) / self.ny
 
     def centers(self):
         """Cell centers in deterministic row-major order (y rows ascending, x within)."""
-        dx = (self.xmax - self.xmin) / self.nx
-        dy = (self.ymax - self.ymin) / self.ny
+        dx, dy = self._cell_size()
         for iy in range(self.ny):
             y = self.ymin + (iy + 0.5) * dy
             for ix in range(self.nx):
@@ -181,30 +187,40 @@ def iso_connectivity_zone(
     configuration's own connectivity level.  Cells that would stack the mobile
     agent on top of another one are counted as rejected.  The other cells are
     solved together in fixed-size stacks, each cell bit-identical to its own
-    single solve.
+    single solve; the default target is one more slice of the first stack,
+    with the mobile agent at its own position.  ``tol`` and ``target`` must be
+    finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    if target is not None and not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     n = len(config.agents)
     if not 0 <= mobile < n:
         raise IndexError(f"agent index {mobile} out of range for order {n}")
     pos = config.positions()
-    if target is None:
-        w, _ = _eigh_core(build_laplacian(config).entries)
-        target = float(w[1])
     cells = list(grid.centers())
     others = np.delete(pos, mobile, axis=0)
     points = np.array(cells)
     coincident = (points[:, None, :] == others[None, :, :]).all(axis=-1).any(axis=-1)
     live = np.nonzero(~coincident)[0]
-    lam2 = np.full(len(cells), np.nan)  # stays NaN on coincident cells
+    placed = points[live]
+    if target is None:
+        placed = np.concatenate([pos[mobile][None], placed])
+    solved = np.empty(len(placed))
     per_chunk = _stack_slices(n, vectors=False)
-    for start in range(0, live.size, per_chunk):
-        chunk = live[start:start + per_chunk]
-        work = np.repeat(pos[None], chunk.size, axis=0)
-        work[:, mobile] = points[chunk]
+    for start in range(0, len(placed), per_chunk):
+        chunk = placed[start:start + per_chunk]
+        work = np.repeat(pos[None], len(chunk), axis=0)
+        work[:, mobile] = chunk
         laps = _laplacian_from_positions(work, config.sigma, config.comm_range)
-        lam2[chunk] = _eigh_stack(laps)[0][:, 1]
+        solved[start:start + per_chunk] = _eigh_stack(laps)[0][:, 1]
+    if target is None:
+        target, solved = float(solved[0]), solved[1:]
+    lam2 = np.full(len(cells), np.nan)  # stays NaN on coincident cells
+    lam2[live] = solved
     accepted: list[ZonePoint] = []
     rejected = 0
     for (x, y), skip, lam in zip(cells, coincident.tolist(), lam2.tolist()):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isoconn import Agent, AgentConfiguration, SquareMatrix, is_connected
+from isoconn.matrices import _jacobi_python
 
 # Base four-agent Laplacian (complete graph minus the 2-4 link, unit weights)
 # and its two relabeling conjugates.
@@ -161,3 +162,22 @@ def geometric_config(rng, n, comm_range=6.0):
         config = make_config(rng.uniform(0.0, side, size=(n, 2)), comm_range=comm_range)
         if is_connected(config):
             return config
+
+
+def _eigh_core(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of an exactly symmetric ndarray: ascending values, sign-fixed columns.
+
+    The reference single solve the stacked and scaled solves are held to bit
+    for bit: the scalar Jacobi sweeps, then their own sort and sign loop.
+    """
+    w, v = _jacobi_python(sym)
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    # Sign convention: the largest-magnitude entry of each eigenvector is positive;
+    # np.argmax resolves magnitude ties toward the lowest index.
+    for j in range(v.shape[1]):
+        k = int(np.argmax(np.abs(v[:, j])))
+        if v[k, j] < 0.0:
+            v[:, j] = -v[:, j]
+    return w, v

@@ -98,6 +98,60 @@ class TestSpectrum:
         assert json.loads(err)["error"] == "InvalidInput"
 
 
+class TestOutOfBandMatrices:
+    """Entries near the float64 limit: solved scaled, or a NonFinite domain error."""
+
+    @staticmethod
+    def spectrum(tmp_path, rows):
+        import subprocess
+        import sys
+
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rows": rows}))
+        cmd = [sys.executable, "-m", "isoconn", "spectrum", "--matrix", str(path)]
+        return subprocess.run(cmd, capture_output=True, text=True)
+
+    def test_huge_laplacian_spectrum(self, tmp_path):
+        proc = self.spectrum(tmp_path, [[1e200, -1e200], [-1e200, 1e200]])
+        assert proc.returncode == 0 and proc.stderr == ""
+        # The solve keeps its in-band rounding: [[1, -1], [-1, 1]] gives 1.9999999999999996.
+        zero, top = json.loads(proc.stdout)["spectrum"]
+        assert zero == 0.0 and top == pytest.approx(2e200, rel=1e-15)
+
+    def test_overflowing_matrix_is_a_json_domain_error(self, tmp_path):
+        proc = self.spectrum(tmp_path, [[1e308, -1e308], [-1e308, 1e308]])
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines and json.loads(lines[0])["error"] == "NonFinite"
+        for line in lines:
+            json.loads(line)  # no warning text, only JSON
+
+    def test_huge_laplacian_connectivity(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rows": [[1e200, -1e200], [-1e200, 1e200]]}))
+        code, out, _ = run(capsys, ["connectivity", "--matrix", str(path)])
+        assert code == 0
+        assert json.loads(out)["lambda2"] == pytest.approx(2e200, rel=1e-15)
+
+
+class TestCapturedStdout:
+    """Full-precision stdout captured from the one-solve-per-call-site code."""
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (["connectivity", "--input", "cli_config7.json"], "connectivity_config7_full.json"),
+            (["spectrum", "--input", "cli_config7.json"], "spectrum_config7_full.json"),
+            (["isospectral", "--matrix", "cli_l1.json", "--matrix", "cli_l2.json"], "isospectral_l1_l2_full.json"),
+        ],
+    )
+    def test_stdout_bytes_unchanged(self, capsys, argv, golden):
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        code, out, _ = run(capsys, argv + ["--precision", "full"])
+        assert code == 0
+        assert out.encode() == (DATA / golden).read_bytes()
+
+
 class TestConnectivity:
     def test_report_round_trips(self, workdir, capsys):
         _, matrix_file, _ = workdir
@@ -169,6 +223,19 @@ class TestIsospectral:
         )
         assert code == 2
         assert json.loads(err)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [(["--limit", "0"], "limit must be >= 1"), (["--sample"], "sampling needs an explicit limit")],
+    )
+    def test_bad_enumeration_arguments_exit_2(self, workdir, capsys, extra, message):
+        _, matrix_file, _ = workdir
+        code, out, err = run(
+            capsys,
+            ["isospectral", "--enumerate", "--matrix", matrix_file("l1.json", L1_ROWS)] + extra,
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "InvalidInput", "message": message}
 
 
 class TestTransform:
@@ -376,6 +443,27 @@ class TestZone:
         code, out, _ = run(capsys, argv + extra)
         assert code == 0
         assert out.encode() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--bounds=-1e308,1e308,0,1"],
+            ["--bounds=0,nan,0,1"],
+            ["--bounds=0,inf,0,1"],
+            ["--tol", "nan"],
+            ["--tol", "-1"],
+            ["--tol", "0"],
+            ["--target", "inf"],
+            ["--resolution", "nan,1"],
+            ["--resolution", "inf,1"],
+        ],
+    )
+    def test_bad_numbers_exit_2(self, workdir, capsys, extra):
+        _, _, config_path = workdir
+        argv = ["zone", "--input", config_path, "--mobile", "a3", "--bounds", "0,4,1,3", "--resolution", "2,1"]
+        code, out, err = run(capsys, argv + extra)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InvalidInput"
 
 
 class TestParametric:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoconn import (
@@ -160,8 +160,15 @@ class TestRelabelConfiguration:
             relabel_configuration(config, (0, 0))
 
     @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=7773289)  # a degree off by 1.78e-15 in its last bits
     @settings(max_examples=25, deadline=None)
     def test_random_permutations_conjugate_exactly(self, seed):
+        """Off-diagonals conjugate exactly; each degree up to a reordered sum's rounding.
+
+        Relabeling moves every link weight exactly, but a degree sums the same
+        weights in another order, so it may differ in its last bits: by at
+        most 2 * gamma_(n-1) * (sum of the row's weights), gamma_k = k*u/(1 - k*u).
+        """
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         config = random_config(rng, n=n)
@@ -169,7 +176,13 @@ class TestRelabelConfiguration:
         j = permutation_matrix(perm).entries
         direct = build_laplacian(relabel_configuration(config, perm)).entries
         conjugated = j.T @ build_laplacian(config).entries @ j
-        assert np.abs(direct - conjugated).max() <= 1e-15
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(direct[off], conjugated[off])
+        u = np.finfo(float).eps / 2
+        gamma = (n - 1) * u / (1 - (n - 1) * u)
+        weights = -direct[off].reshape(n, n - 1)
+        bound = 2 * gamma * weights.sum(axis=1)
+        assert (np.abs(np.diag(direct) - np.diag(conjugated)) <= bound).all()
 
 
 class TestStructureCaveatWitness:

@@ -20,9 +20,9 @@ from isoconn import (
     validate_iso_transform,
 )
 from isoconn import matrices
-from isoconn.matrices import _eigh_core, _eigh_stack
+from isoconn.matrices import _eigh_stack
 from isoconn.topology import _laplacian_from_positions
-from conftest import K4_ROWS, L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS, geometric_config
+from conftest import K4_ROWS, L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS, _eigh_core, geometric_config
 
 
 def random_symmetric(seed, n, lo=-10.0, hi=10.0):
@@ -279,6 +279,59 @@ class TestEigvalsStack:
             with pytest.raises(ConvergenceError) as stacked:
                 _eigh_stack(stack, vectors)
             assert str(stacked.value) == str(single.value) == "no convergence after 1 sweeps (order 6)"
+
+
+class TestScalingBand:
+    """Slices whose largest entry lies outside [2^-400, 2^400] are solved scaled."""
+
+    def test_scaled_spectra_match_numpy(self):
+        b = random_symmetric(5, 8).entries
+        for e in range(-300, 301, 5):
+            a = b * 10.0**e
+            w = symmetric_eigendecomposition(SquareMatrix(a)).eigenvalues
+            ref = np.linalg.eigvalsh(a)
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max(), e
+
+    def test_band_edges_keep_their_bits(self):
+        b = random_symmetric(6, 5).entries
+        b = b / np.abs(b).max()
+        for edge in (2.0**400, 2.0**-400):
+            a = b * edge
+            assert np.abs(a).max() == edge
+            w, v = _eigh_core(a)
+            values, vectors = _eigh_stack(a[None], vectors=True)
+            assert values[0].tobytes() == w.tobytes()
+            assert vectors[0].tobytes() == v.tobytes()
+
+    def test_mixed_stack_bit_identical_to_single_solves(self):
+        b = random_symmetric(7, 6).entries
+        stack = np.array([b * 1e200, b, b * 1e-250, np.zeros((6, 6)), b * 2.0**401])
+        for vectors in (False, True):
+            values, vecs = _eigh_stack(stack, vectors)
+            for g in range(stack.shape[0]):
+                w, v = _eigh_stack(stack[g:g + 1], vectors)
+                assert values[g].tobytes() == w[0].tobytes(), g
+                if vectors:
+                    assert vecs[g].tobytes() == v[0].tobytes(), g
+                    assert vecs[g].strides == v[0].strides, g
+        # In-band slices keep the unscaled solve's bits; the scaled ones keep
+        # the unscaled eigenvectors of the same matrix.
+        values, vecs = _eigh_stack(stack, vectors=True)
+        w, v = _eigh_core(b)
+        assert values[1].tobytes() == w.tobytes() and vecs[1].tobytes() == v.tobytes()
+        assert vecs[4].tobytes() == v.tobytes()
+        assert values[4].tobytes() == (w * 2.0**401).tobytes()
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([[1e308, -1e308], [-1e308, 1e308]], "symmetrized matrix overflows float64"),
+            (np.full((3, 3), 8e307), "spectrum overflows float64"),
+        ],
+    )
+    def test_overflowing_spectrum_is_non_finite(self, rows, message):
+        with pytest.raises(NonFiniteError, match=message):
+            symmetric_eigendecomposition(SquareMatrix.from_rows(rows))
 
 
 class TestPermutationMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,10 +23,10 @@ from isoconn import (
     symmetric_eigendecomposition,
 )
 from isoconn import matrices, mobility
-from isoconn.matrices import _eigh_core, _eigh_stack, _stack_slices
+from isoconn.matrices import _eigh_stack, _stack_slices
 from isoconn.mobility import _motion_derivative
 from isoconn.topology import _laplacian_from_positions
-from conftest import make_config, random_config
+from conftest import _eigh_core, make_config, random_config
 
 
 def lambda2_of(config):
@@ -55,6 +56,12 @@ class TestBlockDecompose:
         assert decomp.coupling_total == 6.0
         assert decomp.coupling_total == pytest.approx(decomp.coupling.sum())
         assert np.array_equal(decomp.coupling_diag.entries, np.diag([2.0, 3.0, 1.0]))
+
+    def test_coupling_diag_is_derived_from_coupling(self, l1):
+        decomp = block_decompose(l1, 0)
+        assert "coupling_diag" not in {f.name for f in dataclasses.fields(decomp)}
+        assert isinstance(decomp.coupling_diag, SquareMatrix)
+        assert decomp.coupling_diag.entries.tobytes() == np.diag(decomp.coupling).tobytes()
 
     def test_interior_agent_round_trips(self, l1):
         for agent in range(4):

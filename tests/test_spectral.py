@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from isoconn import (
     DegenerateFiedlerError,
+    NonSymmetricError,
     NotLaplacianError,
     OrderMismatchError,
     SquareMatrix,
@@ -16,6 +17,7 @@ from isoconn import (
     is_isospectral,
     ones_axis_rotation,
     permutation_matrix,
+    validate_laplacian,
 )
 from isoconn.spectral import DEGENERACY_GAP, ConnectivityReport, fiedler_gap, fiedler_is_simple
 from conftest import FIEDLER_DIRECTION, L1_ROWS, L1_SPECTRUM
@@ -55,6 +57,24 @@ class TestAlgebraicConnectivity:
     def test_rejects_non_laplacian(self):
         with pytest.raises(NotLaplacianError):
             algebraic_connectivity(SquareMatrix.from_rows([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_asymmetry_within_tol_but_beyond_symmetry_tol_is_refused(self, l1):
+        # Validation at tol 1e-9 passes an asymmetry of 1e-10, but the solve
+        # stands for the input only up to 1e-12 of its largest entry.
+        rows = l1.entries.copy()
+        rows[0, 1] += 1e-10
+        nudged = SquareMatrix(rows)
+        assert validate_laplacian(nudged, 1e-9).passed
+        with pytest.raises(NonSymmetricError) as exc:
+            algebraic_connectivity(nudged)
+        assert str(exc.value) == "asymmetry 1.000e-10 exceeds 1.0e-12 * 3.000e+00"
+
+    def test_failed_validation_comes_before_asymmetry(self, l1):
+        rows = l1.entries.copy()
+        rows[0, 1] += 1e-10
+        rows[1, 3] = rows[3, 1] = 0.5  # a positive off-diagonal entry
+        with pytest.raises(NotLaplacianError):
+            algebraic_connectivity(SquareMatrix(rows))
 
     def test_json_shape(self, l1):
         data = algebraic_connectivity(l1).to_json_dict()

@@ -8,6 +8,7 @@ from isoconn import (
     CoincidentAgentsError,
     EmptyGridError,
     GridSpec,
+    NonFiniteError,
     NonPositiveParameterError,
     build_laplacian,
     dense_family_laplacian,
@@ -18,8 +19,8 @@ from isoconn import (
     symmetric_eigendecomposition,
 )
 from isoconn import matrices, zones
-from isoconn.matrices import _eigh_core, _eigh_stack, _stack_slices
-from conftest import L4P_ROWS, L4PP_ROWS, L4P_SPECTRUM, L4PP_SPECTRUM, geometric_config, make_config
+from isoconn.matrices import _eigh_stack, _stack_slices
+from conftest import L4P_ROWS, L4PP_ROWS, L4P_SPECTRUM, L4PP_SPECTRUM, _eigh_core, geometric_config, make_config
 
 
 class TestDenseFamilyLaplacian:
@@ -139,6 +140,20 @@ class TestGridSpec:
         with pytest.raises(EmptyGridError):
             GridSpec(1.0, 0.0, 0.0, 1.0, 2, 2)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.0, math.nan, 0.0, 1.0), (0.0, math.inf, 0.0, 1.0), (-math.inf, 0.0, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0)],
+    )
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(NonFiniteError, match="bounds must be finite"):
+            GridSpec(*bounds, 2, 2)
+
+    def test_overflowing_cell_size_rejected(self):
+        with pytest.raises(NonFiniteError, match="cell size overflows"):
+            GridSpec(-1e308, 1e308, 0.0, 1.0, 2, 1)
+        wide = GridSpec(-8e307, 8e307, 0.0, 1.0, 2, 1)
+        assert all(math.isfinite(c) for center in wide.centers() for c in center)
+
     def test_json_round_trip(self):
         grid = GridSpec(-1.0, 1.0, -2.0, 2.0, 4, 8)
         assert GridSpec(**grid.to_json_dict()) == grid
@@ -188,6 +203,21 @@ class TestIsoConnectivityZone:
         sample = iso_connectivity_zone(config, 2, grid, target=0.0, tol=100.0)
         assert sample.accepted == ()
         assert sample.rejected_count == 1
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"tol": math.nan}, "tol must be finite"),
+            ({"tol": math.inf}, "tol must be finite"),
+            ({"tol": 0.0}, "tol must be positive"),
+            ({"target": math.inf}, "target must be finite"),
+            ({"target": math.nan}, "target must be finite"),
+        ],
+    )
+    def test_bad_tol_or_target_rejected(self, kwargs, message):
+        config = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0)], comm_range=10.0)
+        with pytest.raises(ValueError, match=message):
+            iso_connectivity_zone(config, 2, GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1), **kwargs)
 
     def test_json_shape(self):
         config = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0)], comm_range=10.0)
