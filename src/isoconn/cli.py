@@ -1,13 +1,15 @@
 """Command-line front end: JSON in, JSON/CSV/SVG out, deterministic byte-for-byte.
 
-Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage or input-parsing error.
+Exit codes: 0 success, 1 domain error, 2 usage or input error.  ``main`` is
+the one place that picks the code, and every error is one JSON line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -44,7 +46,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise CliInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -75,21 +77,24 @@ def _single_matrix(args) -> SquareMatrix:
     return _load_matrix(paths[0])
 
 
-def _resolve_mobile(config: AgentConfiguration, label: str) -> int:
-    try:
-        return config.index_of(label)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-
-
-def _parse_floats(text: str, count: int, what: str) -> list[float]:
+def _parse_numbers(text: str, count: int, what: str, convert=float) -> list:
     parts = text.split(",")
     if len(parts) != count:
         raise CliInputError(f"{what} needs {count} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        return [convert(p) for p in parts]
     except ValueError as exc:
         raise CliInputError(f"{what}: {exc}") from exc
+
+
+def _check_numbers(args) -> None:
+    """Every float flag must be finite, and ``--tol`` positive."""
+    for name in ("tol", "target", "rotation", "alpha", "beta"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise CliInputError(f"--{name} must be finite, got {value}")
+    if not args.tol > 0:
+        raise CliInputError(f"--tol must be positive, got {args.tol}")
 
 
 def _display(value, precision: str):
@@ -158,21 +163,25 @@ def _to_csv(command: str, payload) -> str:
 
 def _write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isoconn-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".isoconn-tmp-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the target, not the random temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
-def _emit(args, payload, text: str | None = None) -> None:
-    if text is None:
+def _emit(args, payload) -> None:
+    if isinstance(payload, str):  # render's SVG
+        text = payload
+    else:
         shown = _display(payload, args.precision)
         if args.format == "csv":
             text = _to_csv(args.command, shown)
@@ -199,16 +208,13 @@ def _cmd_isospectral(args):
     if args.enumerate:
         if len(paths) != 1:
             raise CliInputError("--enumerate needs exactly one --matrix file")
-        try:
-            entries = permutation_family(
-                _load_matrix(paths[0]),
-                limit=args.limit,
-                dedupe=args.dedupe,
-                sample=args.sample,
-                seed=args.seed,
-            )
-        except ValueError as exc:  # --limit below 1, or sampling without one
-            raise CliInputError(str(exc)) from exc
+        entries = permutation_family(
+            _load_matrix(paths[0]),
+            limit=args.limit,
+            dedupe=args.dedupe,
+            sample=args.sample,
+            seed=args.seed,
+        )
         return [e.to_json_dict() for e in entries]
     if len(paths) != 2:
         raise CliInputError("comparison needs exactly two --matrix files")
@@ -246,7 +252,7 @@ def _cmd_transform(args):
 
 def _cmd_moves(args):
     config = _load_config(args.input)
-    mobile = _resolve_mobile(config, args.mobile)
+    mobile = config.index_of(args.mobile)
     solution = mirror_moves(config, mobile)
     ids = config.ids()
     return {
@@ -267,10 +273,10 @@ def _cmd_integrate(args):
     config = _load_config(args.input)
     data = _load_json(args.path)
     try:
-        mobile = _resolve_mobile(config, str(data["mobile"]))
+        mobile = config.index_of(str(data["mobile"]))
         waypoints = [(float(p[0]), float(p[1])) for p in data["waypoints"]]
         steps = int(data["steps"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise CliInputError(f"invalid path file {args.path}: {exc}") from exc
     result = integrate_connectivity_change(config, mobile, waypoints, steps)
     return result.to_json_dict()
@@ -278,20 +284,14 @@ def _cmd_integrate(args):
 
 def _cmd_zone(args):
     config = _load_config(args.input)
-    mobile = _resolve_mobile(config, args.mobile)
-    xmin, xmax, ymin, ymax = _parse_floats(args.bounds, 4, "--bounds")
-    try:
-        nx, ny = (int(v) for v in _parse_floats(args.resolution, 2, "--resolution"))
-    except (ValueError, OverflowError) as exc:
-        raise CliInputError(f"--resolution: {exc}") from exc
+    mobile = config.index_of(args.mobile)
+    xmin, xmax, ymin, ymax = _parse_numbers(args.bounds, 4, "--bounds")
+    nx, ny = _parse_numbers(args.resolution, 2, "--resolution", int)
     try:
         grid = GridSpec(xmin, xmax, ymin, ymax, nx, ny)
     except AnalysisError as exc:
         raise CliInputError(str(exc)) from exc
-    try:
-        sample = iso_connectivity_zone(config, mobile, grid, target=args.target, tol=args.tol)
-    except ValueError as exc:  # --tol not positive, or --tol/--target not finite
-        raise CliInputError(str(exc)) from exc
+    sample = iso_connectivity_zone(config, mobile, grid, target=args.target, tol=args.tol)
     return sample.to_json_dict()
 
 
@@ -311,16 +311,9 @@ def _cmd_parametric(args):
 def _cmd_render(args):
     if args.format != "svg":
         raise CliInputError("render only emits --format svg")
-    paths = args.matrix or []
-    if args.input and paths:
-        raise CliInputError("give either --input or --matrix, not both")
-    if args.input:
-        text = render_configuration_svg(_load_config(args.input))
-    elif len(paths) == 1:
-        text = render_matrix_svg(_load_matrix(paths[0]))
-    else:
-        raise CliInputError("render needs --input or exactly one --matrix")
-    return text
+    if args.input and not args.matrix:
+        return render_configuration_svg(_load_config(args.input))
+    return render_matrix_svg(_single_matrix(args))
 
 
 _HANDLERS = {
@@ -348,8 +341,16 @@ def _add_common(sub, formats=("json", "csv")):
     sub.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors written as the same JSON line (exit 2)."""
+
+    def error(self, message):
+        _fail("InvalidInput", f"{self.prog}: {message}", 2)
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isoconn",
         description="Spectral connectivity analysis for planar multi-agent graphs.",
     )
@@ -421,30 +422,22 @@ def _error_name(exc: Exception) -> str:
     return name[: -len("Error")] if name.endswith("Error") else name
 
 
+def _fail(name: str, message: str, code: int) -> int:
+    sys.stderr.write(json.dumps({"error": name, "message": message}) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        result = _HANDLERS[args.command](args)
-        if args.command == "render":
-            _emit(args, None, text=result)
-        else:
-            _emit(args, result)
-    except CliInputError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "InvalidInput", "message": str(exc)}) + "\n"
-        )
-        return 2
+        _check_numbers(args)
+        _emit(args, _HANDLERS[args.command](args))
+    except (CliInputError, ValueError, OSError) as exc:
+        return _fail("InvalidInput", str(exc), 2)
     except AnalysisError as exc:
-        sys.stderr.write(
-            json.dumps({"error": _error_name(exc), "message": str(exc)}) + "\n"
-        )
-        return 1
+        return _fail(_error_name(exc), str(exc), 1)
     except IndexError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "IndexOutOfRange", "message": str(exc)}) + "\n"
-        )
-        return 1
+        return _fail("IndexOutOfRange", str(exc), 1)
     return 0
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -17,6 +16,12 @@ _NODE_RADIUS = 12.0
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape's default set, without importing xml.sax (which
+    # pulls in urllib.request, http, email and ssl).
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _scale_positions(pos: np.ndarray) -> np.ndarray:
@@ -61,7 +66,7 @@ def render_graph_svg(positions: np.ndarray, labels: list[str], weights: np.ndarr
         lines.append(
             f'<text x="{_fmt(pts[i, 0])}" y="{_fmt(pts[i, 1] + 4.0)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'fill="#ffffff">{escape(labels[i])}</text>'
+            f'fill="#ffffff">{_escape(labels[i])}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

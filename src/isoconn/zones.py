@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -48,7 +49,13 @@ def dense_family_laplacian(alpha: float, beta: float) -> SquareMatrix:
 def _discriminant(alpha: float, beta: float) -> float:
     # Equals 1 - a + a^2 - b - a*b + b^2, written as a sum of squares so
     # rounding can never push it negative.
-    return ((2.0 * alpha - beta - 1.0) ** 2 + 3.0 * (beta - 1.0) ** 2) / 4.0
+    try:
+        disc = ((2.0 * alpha - beta - 1.0) ** 2 + 3.0 * (beta - 1.0) ** 2) / 4.0
+    except OverflowError:  # a float square above the float64 range
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise NonFiniteError(f"discriminant overflows float64 at ({alpha}, {beta})")
+    return disc
 
 
 def dense_family_spectrum(alpha: float, beta: float) -> tuple[float, float, float, float]:
@@ -185,11 +192,12 @@ def iso_connectivity_zone(
 
     Each cell center is tried in row-major order; the default target is the
     configuration's own connectivity level.  Cells that would stack the mobile
-    agent on top of another one are counted as rejected.  The other cells are
-    solved together in fixed-size stacks, each cell bit-identical to its own
-    single solve; the default target is one more slice of the first stack,
-    with the mobile agent at its own position.  ``tol`` and ``target`` must be
-    finite.
+    agent on top of another one are counted as rejected.  The cells are taken
+    from the grid one fixed-size stack at a time and solved together, each
+    cell bit-identical to its own single solve, so memory grows with the
+    accepted points only.  The default target is one more slice of the first
+    stack, with the mobile agent at its own position.  ``tol`` and ``target``
+    must be finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -201,31 +209,32 @@ def iso_connectivity_zone(
     if not 0 <= mobile < n:
         raise IndexError(f"agent index {mobile} out of range for order {n}")
     pos = config.positions()
-    cells = list(grid.centers())
     others = np.delete(pos, mobile, axis=0)
-    points = np.array(cells)
-    coincident = (points[:, None, :] == others[None, :, :]).all(axis=-1).any(axis=-1)
-    live = np.nonzero(~coincident)[0]
-    placed = points[live]
-    if target is None:
-        placed = np.concatenate([pos[mobile][None], placed])
-    solved = np.empty(len(placed))
+    centers = grid.centers()
     per_chunk = _stack_slices(n, vectors=False)
-    for start in range(0, len(placed), per_chunk):
-        chunk = placed[start:start + per_chunk]
-        work = np.repeat(pos[None], len(chunk), axis=0)
-        work[:, mobile] = chunk
-        laps = _laplacian_from_positions(work, config.sigma, config.comm_range)
-        solved[start:start + per_chunk] = _eigh_stack(laps)[0][:, 1]
-    if target is None:
-        target, solved = float(solved[0]), solved[1:]
-    lam2 = np.full(len(cells), np.nan)  # stays NaN on coincident cells
-    lam2[live] = solved
+    # The first stack also holds the default target, so it takes one cell
+    # less; at one slice per stack (orders above 128) it holds the target only.
+    take = per_chunk - (target is None)
     accepted: list[ZonePoint] = []
     rejected = 0
-    for (x, y), skip, lam in zip(cells, coincident.tolist(), lam2.tolist()):
-        if not skip and abs(lam - target) <= tol:
-            accepted.append(ZonePoint(x, y, lam))
-        else:
-            rejected += 1
+    while (cells := list(islice(centers, take))) or target is None:
+        take = per_chunk
+        points = np.array(cells).reshape(-1, 2)
+        coincident = (points[:, None, :] == others[None, :, :]).all(axis=-1).any(axis=-1)
+        placed = points[~coincident]
+        if target is None:
+            placed = np.concatenate([pos[mobile][None], placed])
+        work = np.repeat(pos[None], len(placed), axis=0)
+        work[:, mobile] = placed
+        laps = _laplacian_from_positions(work, config.sigma, config.comm_range)
+        solved = _eigh_stack(laps)[0][:, 1].tolist()
+        if target is None:
+            target, solved = solved[0], solved[1:]
+        lam2 = iter(solved)
+        for (x, y), skip in zip(cells, coincident.tolist()):
+            lam = None if skip else next(lam2)
+            if not skip and abs(lam - target) <= tol:
+                accepted.append(ZonePoint(x, y, lam))
+            else:
+                rejected += 1
     return ZoneSample(target, tol, grid, tuple(accepted), rejected)

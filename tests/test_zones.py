@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ class TestDenseFamilySpectrum:
     def test_discriminant_never_negative_near_collapse(self):
         # The discriminant is a sum of squares; it bottoms out at exactly 0.
         assert dense_family_spectrum(1.0, 1.0) == pytest.approx((0.0, 4.0, 4.0, 4.0))
+
+    @pytest.mark.parametrize("alpha,beta", [(1e200, 1.0), (1.0, 1e200), (1e308, 1e308)])
+    def test_overflowing_discriminant_is_a_domain_error(self, alpha, beta):
+        # A square above the float64 range: a NonFinite error, not an OverflowError.
+        with pytest.raises(NonFiniteError, match="discriminant overflows"):
+            dense_family_spectrum(alpha, beta)
+        with pytest.raises(NonFiniteError, match="discriminant overflows"):
+            dense_family_validity(alpha, beta)
+
+    def test_parameters_below_the_overflow_keep_the_closed_form(self):
+        assert all(map(math.isfinite, dense_family_spectrum(1e150, 1e150)))
 
 
 class TestDenseFamilyValidity:
@@ -302,3 +314,43 @@ class TestZoneMatchesPerCellScan:
         data = assert_same_zone(config, 3, grid, tol=0.2 * target)
         assert data["accepted"] and data["rejected_count"]
         assert len(sizes) == 2 and max(sizes) <= matrices._STACK_ENTRIES
+
+
+class TestZoneStreaming:
+    """The scan takes its cells from the grid one stack at a time."""
+
+    def test_one_slice_per_stack_solves_the_target_alone(self, monkeypatch):
+        # Orders above 128 fit one slice per stack; a budget of one order-4
+        # matrix reproduces that here.
+        config = geometric_config(np.random.default_rng(5), 4)
+        grid = GridSpec(0.0, 8.0, 0.0, 8.0, 3, 2)
+        want = iso_connectivity_zone(config, 1, grid, tol=0.5).to_json_dict()
+        sizes = []
+
+        def recording(stack, vectors=False):
+            sizes.append(stack.shape[0])
+            return _eigh_stack(stack, vectors)
+
+        monkeypatch.setattr(matrices, "_STACK_ENTRIES", 4 * 4)
+        monkeypatch.setattr(zones, "_eigh_stack", recording)
+        got = assert_same_zone(config, 1, grid, tol=0.5)
+        assert json.dumps(got) == json.dumps(want)
+        assert sizes == [1] * (1 + 6)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # No cell is accepted, so the scan keeps nothing per cell: a grid of
+        # 16 times the cells must not raise the peak by half.  Listing every
+        # cell up front raised it about 6-fold.
+        config = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0)], comm_range=10.0)
+        iso_connectivity_zone(config, 2, GridSpec(0.0, 4.0, -3.0, 3.0, 8, 8), target=100.0)
+        peaks = []
+        for k in (64, 256):
+            grid = GridSpec(0.05, 4.05, -3.05, 2.95, k, k)
+            tracemalloc.start()
+            try:
+                sample = iso_connectivity_zone(config, 2, grid, target=100.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sample.accepted == () and sample.rejected_count == k * k
+        assert peaks[1] < 1.5 * peaks[0], peaks
