@@ -18,6 +18,7 @@ from .errors import AnalysisError
 from .families import permutation_family, similarity_transform
 from .matrices import (
     SquareMatrix,
+    _symmetric_eigenvalues,
     ones_axis_rotation,
     permutation_matrix,
     symmetric_eigendecomposition,
@@ -195,8 +196,7 @@ def _emit(args, payload) -> None:
 
 def _cmd_spectrum(args):
     matrix = _single_matrix(args)
-    decomp = symmetric_eigendecomposition(matrix)
-    return {"order": matrix.order, "spectrum": [float(w) for w in decomp.eigenvalues]}
+    return {"order": matrix.order, "spectrum": [float(w) for w in _symmetric_eigenvalues(matrix)]}
 
 
 def _cmd_connectivity(args):
@@ -219,8 +219,7 @@ def _cmd_isospectral(args):
     if len(paths) != 2:
         raise CliInputError("comparison needs exactly two --matrix files")
     a, b = _load_matrix(paths[0]), _load_matrix(paths[1])
-    wa = symmetric_eigendecomposition(a).eigenvalues
-    wb = symmetric_eigendecomposition(b).eigenvalues
+    wa, wb = _symmetric_eigenvalues(a), _symmetric_eigenvalues(b)
     return {
         "isospectral": _spectra_agree(wa, wb, args.tol),
         "tol": args.tol,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,7 +112,9 @@ def permutation_family(
     mode by order, ``sample=False`` insists on full enumeration).  With
     ``dedupe`` the entries whose result matrices coincide exactly are collapsed,
     keeping the lexicographically first representative; ``limit`` caps the
-    number of returned entries.
+    number of returned entries.  Sampling draws at most 200 relabelings per
+    wanted entry, and with ``dedupe`` no more than the n! - 1 non-identity
+    relabelings are wanted whatever ``limit`` is.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -161,8 +164,9 @@ def permutation_family(
         if limit is None:
             raise ValueError("sampling needs an explicit limit")
         rng = np.random.default_rng(seed)
+        wanted = min(limit, math.factorial(n) - 1) if dedupe else limit
         attempts = 0
-        while len(entries) < limit and attempts < 200 * limit:
+        while len(entries) < limit and attempts < 200 * wanted:
             attempts += 1
             perm = tuple(int(i) for i in rng.permutation(n))
             if perm == identity:

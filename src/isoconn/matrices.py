@@ -116,14 +116,15 @@ def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float]:
     return c, t * c
 
 
-def _jacobi_python(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_python(sym: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     # Scalar loops on nested lists: one matrix solves faster this way than as a
     # stack of one in _jacobi_stack at every order measured (median of repeated
     # solves of a geometric Laplacian: 0.12 vs 1.4 ms at n=4, 6.4 vs 35 ms at
-    # n=16, 0.47 vs 0.81 s at n=64).
+    # n=16, 0.47 vs 0.81 s at n=64).  The eigenvector rotations never feed
+    # back into ``a``, so skipping them leaves the eigenvalues' bits alone.
     n = sym.shape[0]
     a = sym.tolist()
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if vectors else None
     fro2 = 0.0
     for i in range(n):
         for j in range(n):
@@ -160,14 +161,15 @@ def _jacobi_python(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     akq = aq[k]
                     ap[k] = c * akp - s * akq
                     aq[k] = s * akp + c * akq
-                for k in range(n):
-                    vk = v[k]
-                    vkp = vk[p]
-                    vkq = vk[q]
-                    vk[p] = c * vkp - s * vkq
-                    vk[q] = s * vkp + c * vkq
+                if vectors:
+                    for k in range(n):
+                        vk = v[k]
+                        vkp = vk[p]
+                        vkq = vk[q]
+                        vk[p] = c * vkp - s * vkq
+                        vk[q] = s * vkp + c * vkq
     w = np.array([a[i][i] for i in range(n)])
-    return w, np.array(v)
+    return w, None if v is None else np.array(v)
 
 
 def _stack_slices(n: int, vectors: bool) -> int:
@@ -284,8 +286,8 @@ def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, n
     if exps is not None:
         stack = np.ldexp(stack, -exps[:, None, None])
     if stack.shape[0] == 1:
-        w, v = _jacobi_python(stack[0])
-        values, vt = w[None], v.T[None]
+        w, v = _jacobi_python(stack[0], vectors)
+        values, vt = w[None], None if v is None else v.T[None]
     else:
         values, vt = _jacobi_stack(stack, vectors)
     if exps is not None:
@@ -349,6 +351,13 @@ def symmetric_eigendecomposition(
     w, v = w[0], v[0]
     residual = float(np.abs(a @ v - v * w).max())
     return SpectralDecomposition(w, v, residual)
+
+
+def _symmetric_eigenvalues(matrix: SquareMatrix) -> np.ndarray:
+    """``symmetric_eigendecomposition(matrix).eigenvalues``, bit for bit, without eigenvectors or residual."""
+    a = matrix.entries
+    _check_symmetric(a, SYMMETRY_TOL)
+    return _eigh_stack(_symmetrized(a)[None])[0][0]
 
 
 def _as_permutation(perm: Sequence[int]) -> tuple[int, ...]:

@@ -8,7 +8,6 @@ the whole Laplacian, and therefore the connectivity, unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    CoincidentAgentsError,
     DegenerateFiedlerError,
     InvalidVariationError,
     NonFiniteError,
@@ -131,29 +131,39 @@ def laplacian_motion_derivative(
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     u = u / norm
-    return SquareMatrix(_motion_derivative(pos, config.sigma, config.comm_range, mobile, u))
+    return SquareMatrix(_motion_derivative_stack(pos[None], config.sigma, config.comm_range, mobile, u[None])[0])
 
 
-def _motion_derivative(
-    pos: np.ndarray, sigma: float, comm_range: float, mobile: int, unit: np.ndarray
+def _motion_derivative_stack(
+    pos: np.ndarray, sigma: float, comm_range: float, mobile: int, units: np.ndarray
 ) -> np.ndarray:
-    n = pos.shape[0]
-    d = np.zeros((n, n))
+    """Laplacian derivatives (G, n, n) for (G, n, 2) positions, agent ``mobile`` moving along ``units[g]``.
+
+    Each slice is bit-identical to differentiating its links one at a time in
+    agent order: ``math.exp`` per in-range link (``np.exp`` rounds
+    differently), ``np.vecdot`` for the 2-vector dot (the BLAS dot of
+    ``rel @ unit``; a multiply-and-add rounds differently), the link's degree
+    entries as ``0.0 + da`` (no negative zero) and the mobile agent's degree
+    summed left to right.
+    """
+    g_count, n = pos.shape[:2]
     rate = sigma / comm_range
-    total = 0.0
-    for j in range(n):
-        if j == mobile:
-            continue
-        rel = pos[mobile] - pos[j]
-        dist = float(np.hypot(rel[0], rel[1]))
-        if dist > comm_range:
-            continue
-        da = math.exp(-rate * dist) * (-rate) * float(rel @ unit) / dist
-        d[j, j] += da
-        d[j, mobile] = -da
-        d[mobile, j] = -da
-        total += da
-    d[mobile, mobile] = total
+    # A difference that overflows is out of range, as in the weights.
+    with np.errstate(over="ignore"):
+        rel = pos[:, mobile, None, :] - pos
+    dist = np.hypot(rel[..., 0], rel[..., 1])
+    linked = dist <= comm_range
+    linked[:, mobile] = False
+    g, j = np.nonzero(linked)
+    dist = dist[g, j]
+    decay = np.array(list(map(math.exp, ((-rate) * dist).tolist())))
+    da = decay * (-rate) * np.vecdot(rel[g, j], units[g]) / dist
+    d = np.zeros((g_count, n, n))
+    d[g, j, j] = 0.0 + da
+    d[g, j, mobile] = -da
+    d[g, mobile, j] = -da
+    diag = np.arange(n)
+    d[:, mobile, mobile] = np.cumsum(d[:, diag, diag], axis=1)[:, -1]
     return d
 
 
@@ -299,14 +309,20 @@ def integrate_connectivity_change(
     the gap isolating the second eigenvalue drops below ``gap_tol`` anywhere
     along the path (checked at the start, then the end, then the midpoints in
     path order), and warns if any link crosses the range boundary between
-    evaluations.  Waypoints must be finite.
+    evaluations.  Waypoints must be finite, and no midpoint may land exactly
+    on a fixed agent (CoincidentAgentsError), where the derivative is undefined.
 
     The end points and midpoints are solved in stacks of bounded size, so
-    memory does not grow with ``steps``; every solve is bit-identical to its
-    own single solve, and the quadrature sum runs in path order.
+    memory does not grow with ``steps``.  A stack's solves, derivatives, range
+    flags, gap checks and quadrature forms are array operations, each
+    bit-identical to its point-by-point form; only the quadrature sum runs
+    point by point, in path order.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps >= 2**62:
+        # The schedule indexes its midpoints with int64.
+        raise ValueError(f"steps must be below 2**62, got {steps}")
     pos = config.positions()
     n = len(config.agents)
     if not 0 <= mobile < n:
@@ -330,61 +346,78 @@ def integrate_connectivity_change(
     if not math.isfinite(steps * total):
         raise NonFiniteError(f"path length {total:.3e} times {steps} steps overflows")
 
-    def in_range_flags(point: np.ndarray) -> np.ndarray:
-        d = np.hypot(*(pos - point).T)
-        flags = d <= comm_range
-        flags[mobile] = True
-        return flags
-
-    def check_gap(gap: float, where: str) -> None:
-        if gap < gap_tol:
-            raise DegenerateFiedlerError(
-                f"eigenvalue gap {gap:.3e} below {gap_tol:.1e} {where}"
-            )
+    # The schedule: both ends, then every midpoint in path order.  Midpoint k
+    # of segment s lies (k + 0.5) * seg_h[s] along seg_unit[s] from its start.
+    counts = [max(1, round(steps * length / total)) for _, _, length in segments]
+    seg_first = np.cumsum([0] + counts)
+    seg_start = np.array([a for a, _, _ in segments])
+    seg_unit = np.array([(b - a) / length for a, b, length in segments])
+    seg_h = np.array([length / count for (_, _, length), count in zip(segments, counts)])
+    ends_xy = np.array([segments[0][0], segments[-1][1]])
+    end_labels = ("at the path start", "at the path end")
 
     warnings: list[str] = []
     warned: set[int] = set()
 
-    def note_crossings(flags: np.ndarray, new_flags: np.ndarray) -> np.ndarray:
-        # One warning per agent, at its first range crossing.
-        for j in np.nonzero(new_flags != flags)[0]:
-            if j != mobile and j not in warned:
-                warned.add(int(j))
+    def note_crossings(agents: np.ndarray) -> None:
+        # One warning per agent, at its first range crossing, in path order.
+        for j in agents.tolist():
+            if j not in warned:
+                warned.add(j)
                 warnings.append(f"range crossing: link to agent {ids[j]!r} changed state mid-path")
-        return new_flags
 
-    def evaluations():
-        # (point, unit direction, step length, label): both ends, then the midpoints.
-        yield segments[0][0], None, 0.0, "at the path start"
-        yield segments[-1][1], None, 0.0, "at the path end"
-        for a, b, length in segments:
-            unit = (b - a) / length
-            count = max(1, round(steps * length / total))
-            h = length / count
-            for k in range(count):
-                yield a + (k + 0.5) * h * unit, unit, h, k + 0.5
-
-    schedule = evaluations()
-    per_chunk = _stack_slices(n, vectors=True)
+    per_stack = _stack_slices(n, vectors=True)
+    size = 2 + int(seg_first[-1])
     ends: list[float] = []
-    flags = in_range_flags(segments[0][0])
     integral = 0.0
-    while chunk := list(itertools.islice(schedule, per_chunk)):
-        work = np.repeat(pos[None], len(chunk), axis=0)
-        work[:, mobile] = [point for point, _, _, _ in chunk]
+    for lo in range(0, size, per_stack):
+        hi = min(lo + per_stack, size)
+        mid = np.arange(max(lo, 2), hi) - 2
+        seg = np.searchsorted(seg_first, mid, side="right") - 1
+        arcs = (mid - seg_first[seg]) + 0.5
+        h, unit = seg_h[seg], seg_unit[seg]
+        points = np.concatenate([ends_xy[lo:min(hi, 2)], seg_start[seg] + (arcs * h)[:, None] * unit])
+        n_ends = len(points) - len(mid)
+        work = np.repeat(pos[None], len(points), axis=0)
+        work[:, mobile] = points
         values, vectors = _eigh_stack(_laplacian_from_positions(work, sigma, comm_range), vectors=True)
-        gaps = fiedler_gap(values).tolist()
-        for i, (point, unit, h, label) in enumerate(chunk):
-            if unit is None:
-                check_gap(gaps[i], label)
-                ends.append(float(values[i, 1]))
-                continue
-            check_gap(gaps[i], f"along the path (arc position {label:.1f} of segment)")
-            fiedler = vectors[i, :, 1]
-            dlap = _motion_derivative(work[i], sigma, comm_range, mobile, unit)
-            integral += float(fiedler @ dlap @ fiedler) * h
-            flags = note_crossings(flags, in_range_flags(point))
-    note_crossings(flags, in_range_flags(segments[-1][1]))
+        dist = np.hypot(*np.moveaxis(pos - points[:, None], -1, 0))
+        dist[:, mobile] = np.inf  # no link to the mobile agent's own start
+
+        # The first failing point in path order: its gap, then (midpoints
+        # only) a fixed agent it sits on, where the derivative is undefined.
+        gaps = fiedler_gap(values)
+        touching = dist[n_ends:] == 0.0
+        failing = gaps < gap_tol
+        failing[n_ends:] |= touching.any(axis=1)
+        if failing.any():
+            i = int(np.argmax(failing))
+            if i < n_ends:
+                where = end_labels[lo + i]
+            else:
+                where = f"along the path (arc position {float(arcs[i - n_ends]):.1f} of segment)"
+            if gaps[i] < gap_tol:
+                raise DegenerateFiedlerError(f"eigenvalue gap {float(gaps[i]):.3e} below {gap_tol:.1e} {where}")
+            j = int(np.argmax(touching[i - n_ends]))
+            raise CoincidentAgentsError(f"agents {ids[mobile]!r} and {ids[j]!r} coincide {where}")
+        ends += values[:n_ends, 1].tolist()
+
+        in_range = dist <= comm_range
+        if lo == 0:
+            start_flags = in_range[0]
+        if lo <= 1 < hi:
+            end_flags = in_range[1 - lo]
+        # An agent's flag equals its start flag until its first change, so
+        # comparing each point with the start finds the same first crossings
+        # as comparing consecutive points.
+        note_crossings(np.nonzero(in_range[n_ends:] != start_flags)[1])
+        dlap = _motion_derivative_stack(work[n_ends:], sigma, comm_range, mobile, unit)
+        fiedler = vectors[n_ends:, :, 1]
+        # fiedler^T dlap fiedler, rounded as the 2-d product of one point.
+        forms = np.vecdot((fiedler[:, None, :] @ dlap)[:, 0, :], fiedler)
+        for step in (forms * h).tolist():
+            integral += step
+    note_crossings(np.nonzero(end_flags != start_flags)[0])
 
     lam_start, lam_end = ends
     return PathIntegralResult(integral, lam_end - lam_start, tuple(warnings))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiedlerError, NotLaplacianError, OrderMismatchError
-from .matrices import SYMMETRY_TOL, SquareMatrix, _check_symmetric, symmetric_eigendecomposition
+from .matrices import SYMMETRY_TOL, SquareMatrix, _check_symmetric, _symmetric_eigenvalues
 from .topology import _validated_eigensystem
 
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -103,9 +103,7 @@ def _spectra_agree(wa: np.ndarray, wb: np.ndarray, tol: float) -> bool:
 def is_isospectral(a: SquareMatrix, b: SquareMatrix, tol: float = DEFAULT_EIGENVALUE_TOL) -> bool:
     """True when the full sorted spectra agree element-wise within ``tol``."""
     _require_same_order(a.order, b.order)
-    wa = symmetric_eigendecomposition(a).eigenvalues
-    wb = symmetric_eigendecomposition(b).eigenvalues
-    return _spectra_agree(wa, wb, tol)
+    return _spectra_agree(_symmetric_eigenvalues(a), _symmetric_eigenvalues(b), tol)
 
 
 @dataclass(frozen=True)

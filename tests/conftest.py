@@ -1,5 +1,7 @@
 """Shared fixtures: the worked four-agent matrices and geometry helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,7 +172,7 @@ def _eigh_core(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The reference single solve the stacked and scaled solves are held to bit
     for bit: the scalar Jacobi sweeps, then their own sort and sign loop.
     """
-    w, v = _jacobi_python(sym)
+    w, v = _jacobi_python(sym, vectors=True)
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -181,3 +183,30 @@ def _eigh_core(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if v[k, j] < 0.0:
             v[:, j] = -v[:, j]
     return w, v
+
+
+def _motion_derivative(
+    pos: np.ndarray, sigma: float, comm_range: float, mobile: int, unit: np.ndarray
+) -> np.ndarray:
+    """The Laplacian derivative of one position set, one link at a time in agent order.
+
+    The reference the stacked derivative builder is held to bit for bit.
+    """
+    n = pos.shape[0]
+    d = np.zeros((n, n))
+    rate = sigma / comm_range
+    total = 0.0
+    for j in range(n):
+        if j == mobile:
+            continue
+        rel = pos[mobile] - pos[j]
+        dist = float(np.hypot(rel[0], rel[1]))
+        if dist > comm_range:
+            continue
+        da = math.exp(-rate * dist) * (-rate) * float(rel @ unit) / dist
+        d[j, j] += da
+        d[j, mobile] = -da
+        d[mobile, j] = -da
+        total += da
+    d[mobile, mobile] = total
+    return d

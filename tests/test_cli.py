@@ -216,6 +216,24 @@ class TestIsospectral:
         assert lines[0] == "index,perm,laplacian_structured,distinct_from_base"
         assert lines[1].startswith("0,0 1 3 2,")
 
+    def test_sampled_huge_limit_stops_at_the_relabelings(self, workdir):
+        # Order 4 has 23 non-identity relabelings, so with dedupe a limit of
+        # 1e9 wants no more than a limit of 23: the same draws, the same
+        # entries.  Uncapped, the sampler would draw 2e11 relabelings.
+        import subprocess
+        import sys
+
+        _, matrix_file, _ = workdir
+        argv = [sys.executable, "-m", "isoconn", "isospectral", "--enumerate", "--sample"]
+        argv += ["--matrix", matrix_file("l1.json", L1_ROWS), "--precision", "full", "--limit"]
+        small, huge = (
+            subprocess.run(argv + [limit], capture_output=True, text=True, timeout=10)
+            for limit in ("23", "1000000000")
+        )
+        assert small.returncode == 0 and small.stderr == ""
+        assert (huge.returncode, huge.stdout, huge.stderr) == (0, small.stdout, "")
+        assert len(json.loads(small.stdout)) == 6
+
     def test_needs_two_matrices(self, workdir, capsys):
         _, matrix_file, _ = workdir
         code, _, err = run(

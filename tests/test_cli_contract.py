@@ -126,10 +126,12 @@ def argvs(draw):
             argv += ["--matrix", draw(matrix), "--matrix", draw(matrix)]
         else:
             argv += ["--enumerate", "--matrix", draw(matrix)]
-            # Sampling draws up to 200 * limit relabelings: only small limits.
+            # Sampling without dedupe keeps up to limit relabelings: only small limits.
             sample = draw(st.sampled_from([[], ["--sample"], ["--no-sample"]]))
-            limits = ["0", "-1", "1", "2", "nan"] + ([] if sample == ["--sample"] else ["1000000000"])
-            argv += sample + draw(st.sampled_from([[], ["--no-dedupe"]]))
+            dedupe = draw(st.sampled_from([[], ["--no-dedupe"]]))
+            huge = [] if sample == ["--sample"] and dedupe else ["1000000000"]
+            limits = ["0", "-1", "1", "2", "nan"] + huge
+            argv += sample + dedupe
             argv += draw(st.sampled_from([[], ["--limit", draw(st.sampled_from(limits))]]))
             argv += draw(st.sampled_from([[], ["--seed", "-1"], ["--seed", "7"]]))
     elif sub == "transform":

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isoconn import (
     ConvergenceError,
     build_laplacian,
+    dense_family_laplacian,
     NonFiniteError,
     NonSymmetricError,
     NotBijectionError,
@@ -156,6 +157,38 @@ class TestLargeOrders:
         second = symmetric_eigendecomposition(SquareMatrix(m.entries.copy()))
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+
+class TestValuesOnlySolves:
+    """The scalar kernel without eigenvector rotations: the same eigenvalue bytes."""
+
+    @staticmethod
+    def assert_same_values(sym):
+        values, none = matrices._jacobi_python(sym, vectors=False)
+        assert none is None
+        assert values.tobytes() == matrices._jacobi_python(sym, vectors=True)[0].tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_geometric_laplacians(self, n):
+        rng = np.random.default_rng([n, 19])
+        for _ in range(2):
+            self.assert_same_values(build_laplacian(geometric_config(rng, n)).entries)
+
+    def test_dense_family_grid(self):
+        for i in range(50):
+            for j in range(50):
+                self.assert_same_values(dense_family_laplacian((i + 1) * 0.1, (j + 1) * 0.1).entries)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetric_eigenvalues_match_the_decomposition(self, seed):
+        m = random_symmetric(seed, 2 + 3 * seed)
+        for matrix in (m, SquareMatrix(m.entries * 1e300), SquareMatrix(m.entries * 1e-300)):
+            got = matrices._symmetric_eigenvalues(matrix)
+            assert got.tobytes() == symmetric_eigendecomposition(matrix).eigenvalues.tobytes()
+
+    def test_symmetric_eigenvalues_check_symmetry_first(self):
+        with pytest.raises(NonSymmetricError):
+            matrices._symmetric_eigenvalues(SquareMatrix.from_rows([[1.0, 2.0], [2.0 + 1e-6, 1.0]]))
 
 
 def zone_stack(seed, n, cells=24, comm_range=6.0):

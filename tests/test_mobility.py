@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from isoconn import (
     AnalysisError,
+    CoincidentAgentsError,
     DegenerateFiedlerError,
     InvalidVariationError,
     NonFiniteError,
@@ -24,9 +26,8 @@ from isoconn import (
 )
 from isoconn import matrices, mobility
 from isoconn.matrices import _eigh_stack, _stack_slices
-from isoconn.mobility import _motion_derivative
 from isoconn.topology import _laplacian_from_positions
-from conftest import _eigh_core, make_config, random_config
+from conftest import _eigh_core, _motion_derivative, make_config, random_config
 
 
 def lambda2_of(config):
@@ -172,6 +173,67 @@ class TestConnectivityDifferential:
             assert abs(analytic - fd) <= 1e-4
 
 
+def reference_derivative(config, mobile, direction):
+    """The link-by-link derivative, with the direction normalised as the public call does."""
+    u = np.asarray(direction, dtype=float)
+    u = u / float(np.hypot(u[0], u[1]))
+    return _motion_derivative(config.positions(), config.sigma, config.comm_range, mobile, u)
+
+
+class TestMotionDerivativeStack:
+    """The stacked derivative builder against the link-by-link loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_random_configurations(self, n):
+        rng = np.random.default_rng([n, 41])
+        for comm_range in (2.0, 4.0, 100.0):
+            config = make_config(rng.uniform(0.0, 8.0, size=(n, 2)), sigma=1.3, comm_range=comm_range)
+            for mobile in range(n):
+                direction = tuple(rng.normal(size=2))
+                got = laplacian_motion_derivative(config, mobile, direction).entries
+                assert got.tobytes() == reference_derivative(config, mobile, direction).tobytes()
+
+    def test_stack_slices_match_single_points(self):
+        # Every slice of one stacked call: the mobile agent at many points, each
+        # moving its own way, some links in range and some not.
+        rng = np.random.default_rng(43)
+        n, mobile, sigma, comm_range = 7, 3, 0.8, 3.5
+        work = np.repeat(rng.uniform(0.0, 6.0, size=(n, 2))[None], 200, axis=0)
+        work[:, mobile] = rng.uniform(-1.0, 7.0, size=(200, 2))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=200)
+        units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        got = mobility._motion_derivative_stack(work, sigma, comm_range, mobile, units)
+        for g in range(200):
+            want = _motion_derivative(work[g], sigma, comm_range, mobile, units[g])
+            assert got[g].tobytes() == want.tobytes(), g
+
+    def test_link_exactly_at_range(self):
+        # hypot(3, 4) is exactly 5: the boundary link takes the in-range branch.
+        config = make_config([(0.0, 0.0), (3.0, 4.0), (1.0, 1.0)], comm_range=5.0)
+        got = laplacian_motion_derivative(config, 0, (1.0, 2.0)).entries
+        assert got[0, 1] != 0.0
+        assert got.tobytes() == reference_derivative(config, 0, (1.0, 2.0)).tobytes()
+
+    @pytest.mark.parametrize("direction", [(0.0, 1.0), (0.0, -1.0)])
+    @pytest.mark.parametrize("mobile", [0, 1])
+    def test_perpendicular_direction_keeps_signed_zeros(self, mobile, direction):
+        # The link's dot product with the direction is +0.0 or -0.0.
+        config = make_config([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)], comm_range=2.0)
+        got = laplacian_motion_derivative(config, mobile, direction).entries
+        assert not got.any()
+        assert got.tobytes() == reference_derivative(config, mobile, direction).tobytes()
+
+    def test_coordinates_near_the_float64_limit(self):
+        # One link in range with a subnormal rate times weight; the other
+        # differences overflow to inf, out of range and without a warning.
+        config = make_config([(1e308, 0.0), (1.7e308, 1e307), (-1e308, 0.0)], sigma=0.7, comm_range=1e308)
+        got = [laplacian_motion_derivative(config, mobile, (1.0, -3.0)).entries for mobile in range(3)]
+        with np.errstate(over="ignore"):
+            want = [reference_derivative(config, mobile, (1.0, -3.0)) for mobile in range(3)]
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
+        assert got[0][0, 1] != 0.0 and got[0][0, 2] == 0.0
+
+
 class TestMirrorMoves:
     def test_two_neighbors_reflection(self):
         config = make_config(
@@ -309,6 +371,12 @@ class TestIntegrateConnectivityChange:
         config = make_config([(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(ValueError):
             integrate_connectivity_change(config, 0, [(0.0, 0.0), (1.0, 1.0)], 0)
+
+    @pytest.mark.parametrize("steps", [2**62, 10**30])
+    def test_step_count_beyond_int64_indexing(self, steps):
+        config = make_config([(0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="below 2\\*\\*62"):
+            integrate_connectivity_change(config, 0, [(0.0, 0.0), (1.0, 1.0)], steps)
 
     def test_json_shape(self):
         rng = np.random.default_rng(6)
@@ -473,6 +541,19 @@ class TestStackedPathSolves:
         monkeypatch.setattr(matrices, "_STACK_ENTRIES", 2 * 3 * 3)
         assert outcome(integrate_connectivity_change, *args) == expected
 
+    def test_crossing_at_the_path_end_only(self, monkeypatch):
+        # The midpoint is in range of a1 and a2, the end point is not; a4
+        # keeps the end connected.
+        config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, 2.5)], comm_range=3.0)
+        args = (config, 2, [(1.0, 1.0), (1.0, 2.9)], 1)
+        expected = outcome(one_solve_per_point, *args)
+        assert expected[2] == tuple(
+            f"range crossing: link to agent {a!r} changed state mid-path" for a in ("a1", "a2")
+        )
+        assert outcome(integrate_connectivity_change, *args) == expected
+        monkeypatch.setattr(matrices, "_STACK_ENTRIES", 2 * 4 * 4)
+        assert outcome(integrate_connectivity_change, *args) == expected
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_waypoint_rejected(self, bad):
         config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
@@ -494,3 +575,32 @@ class TestStackedPathSolves:
         config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
         with pytest.raises(NonFiniteError, match="overflows"):
             integrate_connectivity_change(config, 2, points, 50)
+
+    def test_midpoint_on_a_fixed_agent_is_coincident(self, monkeypatch):
+        # The derivative's direction term divides by the link length, which is
+        # zero there.  The end points need no derivative.
+        config = make_config([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)], comm_range=5.0)
+        message = r"agents 'a3' and 'a2' coincide along the path \(arc position 1.5 of segment\)"
+        for per_stack in (None, 1):
+            if per_stack:
+                monkeypatch.setattr(matrices, "_STACK_ENTRIES", 2 * 3 * 3)
+            with pytest.raises(CoincidentAgentsError, match=message):
+                integrate_connectivity_change(config, 2, [(0.0, 1.0), (1.0, 1.0), (1.0, -1.0)], 4)
+        result = integrate_connectivity_change(config, 2, [(1.0, 1.0), (1.0, 0.0)], 4)
+        assert result.warnings == ()
+
+    def test_memory_does_not_grow_with_the_steps(self):
+        # The schedule, the range flags and the derivatives are built one
+        # stack at a time: ten times the steps must not raise the peak.
+        config = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (3.0, 3.0)], comm_range=10.0)
+        path = [(1.0, 2.0), (2.0, 1.0), (2.5, 2.5)]
+        integrate_connectivity_change(config, 2, path, 100)
+        peaks = []
+        for steps in (2000, 20000):
+            tracemalloc.start()
+            try:
+                integrate_connectivity_change(config, 2, path, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0], peaks
