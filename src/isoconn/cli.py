@@ -21,7 +21,6 @@ from .matrices import (
     _symmetric_eigenvalues,
     ones_axis_rotation,
     permutation_matrix,
-    symmetric_eigendecomposition,
     validate_iso_transform,
 )
 from .mobility import integrate_connectivity_change, mirror_moves
@@ -30,9 +29,9 @@ from .spectral import _spectra_agree, algebraic_connectivity
 from .topology import AgentConfiguration, build_laplacian
 from .zones import (
     GridSpec,
+    _validity_check,
     dense_family_laplacian,
     dense_family_spectrum,
-    dense_family_validity,
     iso_connectivity_zone,
 )
 
@@ -296,14 +295,14 @@ def _cmd_zone(args):
 
 def _cmd_parametric(args):
     matrix = dense_family_laplacian(args.alpha, args.beta)
-    decomp = symmetric_eigendecomposition(matrix)
+    spectrum = _symmetric_eigenvalues(matrix).tolist()
     return {
         "alpha": args.alpha,
         "beta": args.beta,
         "matrix": matrix.to_json_dict(),
         "closed_form_spectrum": list(dense_family_spectrum(args.alpha, args.beta)),
-        "numeric_spectrum": [float(w) for w in decomp.eigenvalues],
-        "validity": dense_family_validity(args.alpha, args.beta).to_json_dict(),
+        "numeric_spectrum": spectrum,
+        "validity": _validity_check(args.alpha, args.beta, lambda2=spectrum[1]).to_json_dict(),
     }
 
 

@@ -31,19 +31,28 @@ def _check_parameters(alpha: float, beta: float) -> None:
         raise NonPositiveParameterError(f"parameters must be positive, got ({alpha}, {beta})")
 
 
+def _check_tol(tol: float) -> None:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+
+
+def _dense_family_entries(alpha: float, beta: float) -> np.ndarray:
+    return np.array(
+        [
+            [2.0 + alpha, -1.0, -1.0, -alpha],
+            [-1.0, 2.0 + beta, -1.0, -beta],
+            [-1.0, -1.0, 3.0, -1.0],
+            [-alpha, -beta, -1.0, 1.0 + alpha + beta],
+        ]
+    )
+
+
 def dense_family_laplacian(alpha: float, beta: float) -> SquareMatrix:
     """The four-agent complete-graph Laplacian with variable weights alpha, beta."""
     _check_parameters(alpha, beta)
-    return SquareMatrix(
-        np.array(
-            [
-                [2.0 + alpha, -1.0, -1.0, -alpha],
-                [-1.0, 2.0 + beta, -1.0, -beta],
-                [-1.0, -1.0, 3.0, -1.0],
-                [-alpha, -beta, -1.0, 1.0 + alpha + beta],
-            ]
-        )
-    )
+    return SquareMatrix(_dense_family_entries(alpha, beta))
 
 
 def _discriminant(alpha: float, beta: float) -> float:
@@ -97,11 +106,24 @@ class ValidityCheck:
 
 
 def dense_family_validity(alpha: float, beta: float, tol: float = 1e-9) -> ValidityCheck:
-    """Evaluate the plus-root inequality and cross-check the numeric connectivity."""
+    """Evaluate the plus-root inequality and cross-check the numeric connectivity.
+
+    ``tol`` must be positive and finite.
+    """
+    return _validity_check(alpha, beta, tol)
+
+
+def _validity_check(
+    alpha: float, beta: float, tol: float = 1e-9, lambda2: float | None = None
+) -> ValidityCheck:
+    """``dense_family_validity``, with lambda2 from the caller's own solve if given."""
+    _check_tol(tol)
     _check_parameters(alpha, beta)
     root = math.sqrt(_discriminant(alpha, beta))
     inequality_holds = 2.0 + alpha + beta + root > 4.0
-    lambda2 = float(_eigh_stack(dense_family_laplacian(alpha, beta).entries[None])[0][0, 1])
+    if lambda2 is None:
+        # Finite entries: the discriminant would have overflowed first.
+        lambda2 = float(_eigh_stack(_dense_family_entries(alpha, beta)[None])[0][0, 1])
     at_target = abs(lambda2 - TARGET_CONNECTIVITY) <= tol
     return ValidityCheck(
         inequality_holds=inequality_holds,
@@ -199,10 +221,7 @@ def iso_connectivity_zone(
     stack, with the mobile agent at its own position.  ``tol`` and ``target``
     must be finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    _check_tol(tol)
     if target is not None and not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     n = len(config.agents)

@@ -143,6 +143,9 @@ class TestCapturedStdout:
             (["connectivity", "--input", "cli_config7.json"], "connectivity_config7_full.json"),
             (["spectrum", "--input", "cli_config7.json"], "spectrum_config7_full.json"),
             (["isospectral", "--matrix", "cli_l1.json", "--matrix", "cli_l2.json"], "isospectral_l1_l2_full.json"),
+            (["parametric", "--alpha", "2", "--beta", "3"], "parametric_a2_b3_full.json"),
+            # A discrepancy point: lambda2 is the minus root, below 4.
+            (["parametric", "--alpha", "0.5", "--beta", "3"], "parametric_a0.5_b3_full.json"),
         ],
     )
     def test_stdout_bytes_unchanged(self, capsys, argv, golden):

@@ -24,6 +24,7 @@ from isoconn import matrices
 from isoconn.matrices import _eigh_stack
 from isoconn.topology import _laplacian_from_positions
 from conftest import K4_ROWS, L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS, _eigh_core, geometric_config
+from conftest import _jacobi_python as frozen_jacobi
 
 
 def random_symmetric(seed, n, lo=-10.0, hi=10.0):
@@ -228,6 +229,63 @@ def assert_rows_match_single_solves(stack):
         assert vectors[g].strides == v.strides, g
 
 
+# Rotation edge cases for the kernels, each a 4x4 symmetric matrix.
+EDGE_ROWS = [
+    # Exact zeros of either sign beside rotated pairs: a skipped pair must keep them.
+    [[0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.5, -1.0], [0.0, 0.5, -1e-300, -0.5], [0.0, -1.0, -0.5, 0.0]],
+    # Equal diagonal entries over a negative one: theta is -0.0, rotated as +1.
+    [[2.0, -1e-300, 2.0, 3.0], [-1e-300, 2.0, 0.0, 1.0], [2.0, 0.0, 0.0, 3.0], [3.0, 1.0, 3.0, -1e-300]],
+    # Tiny off-diagonal entries: |theta| > 1e150 takes the overflow-safe branch.
+    [[0.0, 1e-160, 0.0, 3.0], [1e-160, -1.0, 1.0, 1e-160], [0.0, 1.0, 0.0, 3.0], [3.0, 1e-160, 3.0, 0.5]],
+    # Exact |v| ties in the eigenvectors: the lowest tied index decides the sign,
+    # whether its entry comes out of the sweeps positive or negative.
+    [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, -1.0], [0.0, 0.0, -1.0, 3.0]],
+    PATH4_ROWS,
+    K4_ROWS,
+]
+
+
+class TestScalarKernelMatchesFrozenReference:
+    """The live scalar kernel against conftest's frozen copy: the same bytes, with and without vectors."""
+
+    @staticmethod
+    def assert_same_bytes(sym):
+        for vectors in (False, True):
+            w, v = matrices._jacobi_python(sym, vectors)
+            ref_w, ref_v = frozen_jacobi(sym, vectors)
+            # tobytes also tells -0.0 from 0.0.
+            assert w.tobytes() == ref_w.tobytes()
+            if vectors:
+                assert v.tobytes() == ref_v.tobytes()
+            else:
+                assert v is None and ref_v is None
+
+    def test_dense_family_lattice(self):
+        for i in range(100):
+            for j in range(100):
+                self.assert_same_bytes(dense_family_laplacian((i + 1) * 0.05, (j + 1) * 0.05).entries)
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_geometric_laplacians(self, n):
+        rng = np.random.default_rng([n, 20])
+        for _ in range(2):
+            self.assert_same_bytes(build_laplacian(geometric_config(rng, n)).entries)
+
+    @pytest.mark.parametrize("rows", EDGE_ROWS)
+    def test_edge_rows(self, rows):
+        self.assert_same_bytes(np.array(rows, dtype=float))
+
+    @pytest.mark.parametrize("apq", [1e-160, 5e-324])
+    def test_tiny_off_diagonal_entries(self, apq):
+        m = np.array([[1.0, apq, 0.5, 0.0], [apq, 2.0, 0.0, 0.0], [0.5, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 4.0]])
+        self.assert_same_bytes(m)
+
+    def test_signed_zeros_and_zero_matrix(self):
+        self.assert_same_bytes(np.diag([-0.0, 0.0] * 4))
+        self.assert_same_bytes(np.zeros((3, 3)))
+        self.assert_same_bytes(np.array([[-0.0]]))
+
+
 class TestEigvalsStack:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_zone_stacks_bit_identical(self, n):
@@ -268,22 +326,7 @@ class TestEigvalsStack:
         assert len({sweeps_needed(m) for m in stack}) >= 3
         assert_rows_match_single_solves(stack)
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            # Exact zeros of either sign beside rotated pairs: a skipped pair must keep them.
-            [[0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.5, -1.0], [0.0, 0.5, -1e-300, -0.5], [0.0, -1.0, -0.5, 0.0]],
-            # Equal diagonal entries over a negative one: theta is -0.0, rotated as +1.
-            [[2.0, -1e-300, 2.0, 3.0], [-1e-300, 2.0, 0.0, 1.0], [2.0, 0.0, 0.0, 3.0], [3.0, 1.0, 3.0, -1e-300]],
-            # Tiny off-diagonal entries: |theta| > 1e150 takes the overflow-safe branch.
-            [[0.0, 1e-160, 0.0, 3.0], [1e-160, -1.0, 1.0, 1e-160], [0.0, 1.0, 0.0, 3.0], [3.0, 1e-160, 3.0, 0.5]],
-            # Exact |v| ties in the eigenvectors: the lowest tied index decides the sign,
-            # whether its entry comes out of the sweeps positive or negative.
-            [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, -1.0], [0.0, 0.0, -1.0, 3.0]],
-            PATH4_ROWS,
-            K4_ROWS,
-        ],
-    )
+    @pytest.mark.parametrize("rows", EDGE_ROWS)
     def test_edge_rotations_bit_identical(self, rows):
         # The dense companion slice rotates every pair, so the stack mixes rotated and skipped lanes.
         assert_rows_match_single_solves(np.array([rows, random_symmetric(5, 4).entries]))
@@ -355,6 +398,36 @@ class TestScalingBand:
         assert vecs[4].tobytes() == v.tobytes()
         assert values[4].tobytes() == (w * 2.0**401).tobytes()
 
+    def test_in_band_stack_with_a_zero_slice_needs_no_scaling(self):
+        b = random_symmetric(8, 5).entries
+        assert matrices._band_exponents(np.array([b, np.zeros((5, 5)), b * 1e-100])) is None
+        assert matrices._band_exponents(np.zeros((2, 5, 5))) is None
+        assert matrices._band_exponents(np.empty((0, 5, 5))) is None
+
+    def test_mixed_stack_exponents(self):
+        # Zero, in-band and out-of-band slices; the exponents are those the
+        # per-slice mask gave before the whole-stack in-band test went first.
+        b = random_symmetric(8, 5).entries
+        zero = np.zeros((5, 5))
+        stack = np.array([zero, b, b * 2.0**401, b * 1e-250, b * 1e200, zero])
+        assert matrices._band_exponents(stack).tolist() == [0, 0, 405, -827, 668, 0]
+
+    def test_stacked_band_edges_keep_their_bits(self):
+        b = random_symmetric(6, 5).entries
+        b = b / np.abs(b).max()
+        edges = np.array([b * 2.0**400, b * 2.0**-400])
+        assert matrices._band_exponents(edges) is None
+        values, vectors = _eigh_stack(edges, vectors=True)
+        for g in range(2):
+            w, v = _eigh_core(edges[g])
+            assert values[g].tobytes() == w.tobytes(), g
+            assert vectors[g].tobytes() == v.tobytes(), g
+        # One ulp outside either edge is scaled.
+        below = np.array([b * 2.0**400, b * np.nextafter(2.0**-400, 0.0)])
+        above = np.array([b * np.nextafter(2.0**400, np.inf), b])
+        assert matrices._band_exponents(below).tolist() == [0, -400]
+        assert matrices._band_exponents(above).tolist() == [401, 0]
+
     @pytest.mark.parametrize(
         "rows,message",
         [
@@ -415,6 +488,17 @@ class TestTransformValidation:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             validate_iso_transform(SquareMatrix.identity(2), 0.0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e308, -1e308], [-1e308, 1e308]],  # q.T @ q overflows to inf
+            [[1e308, 1e308], [1e308, -1e308]],  # inf - inf: a nan residual
+        ],
+    )
+    def test_overflowing_products_fail_without_warnings(self, rows):
+        verdict = validate_iso_transform(SquareMatrix.from_rows(rows), 1e-9)
+        assert not verdict.orthonormal and not verdict.fixes_ones and not verdict.passed
 
 
 class TestOnesAxisRotation:

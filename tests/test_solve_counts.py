@@ -97,6 +97,7 @@ def test_zone_solves_its_target_in_its_first_stack(solves, config):
     [
         (["connectivity", "--input", "config"], 1),
         (["isospectral", "--matrix", "a", "--matrix", "b"], 2),
+        (["parametric", "--alpha", "2", "--beta", "3"], 1),
     ],
 )
 def test_cli_solves_each_matrix_once(solves, config, tmp_path, capsys, argv, expected):

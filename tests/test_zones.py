@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -113,6 +114,32 @@ class TestDenseFamilyValidity:
         assert not check.lambda2_at_target
         assert check.discrepancy
         assert check.lambda2 == pytest.approx(2.4538, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "tol,message",
+        [
+            (math.nan, "tol must be finite"),
+            (math.inf, "tol must be finite"),
+            (0.0, "tol must be positive"),
+            (-1.0, "tol must be positive"),
+        ],
+    )
+    def test_bad_tol_rejected(self, tol, message):
+        # (2, 3) is at level 4: a bad tol used to report a discrepancy there.
+        with pytest.raises(ValueError, match=message):
+            dense_family_validity(2.0, 3.0, tol=tol)
+
+    def test_criterion_6_grid_lambda2_bits_pinned(self):
+        # sha256 of the 2500 lambda2.hex() strings, newline-joined, in
+        # criterion 6's grid order, as the per-point solve gave them before
+        # the scalar kernel's loops were restructured.
+        values = [(i + 1) * 0.1 for i in range(50)]
+        text = "\n".join(
+            dense_family_validity(alpha, beta, tol=1e-9).lambda2.hex() for alpha in values for beta in values
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8b945dc0c9b318f005f1e15ab48350a788727823bb895d43eb5c83edbd766690"
+        )
 
 
 class TestFixedEigenvectors:
