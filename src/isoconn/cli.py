@@ -302,13 +302,11 @@ def _cmd_parametric(args):
         "matrix": matrix.to_json_dict(),
         "closed_form_spectrum": list(dense_family_spectrum(args.alpha, args.beta)),
         "numeric_spectrum": spectrum,
-        "validity": _validity_check(args.alpha, args.beta, lambda2=spectrum[1]).to_json_dict(),
+        "validity": _validity_check(args.alpha, args.beta, args.tol, spectrum[1]).to_json_dict(),
     }
 
 
 def _cmd_render(args):
-    if args.format != "svg":
-        raise CliInputError("render only emits --format svg")
     if args.input and not args.matrix:
         return render_configuration_svg(_load_config(args.input))
     return render_matrix_svg(_single_matrix(args))
@@ -329,7 +327,7 @@ _HANDLERS = {
 
 def _add_common(sub, formats=("json", "csv")):
     sub.add_argument("--output", help="write the result here (atomic tempfile+rename)")
-    sub.add_argument("--format", choices=["json", "csv", "svg"], default=formats[0])
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument(
         "--precision",
         choices=["4", "full"],

@@ -315,6 +315,14 @@ def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, n
     return values, vt.transpose(0, 2, 1)
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for a public ``tol``: positive and finite, else ValueError."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+
+
 def _check_symmetric(a: np.ndarray, symmetry_tol: float) -> None:
     """Raise NonSymmetricError unless ``a`` is symmetric within ``symmetry_tol`` of its largest entry."""
     scale = max(1.0, float(np.abs(a).max()))
@@ -416,10 +424,10 @@ def validate_iso_transform(transform: SquareMatrix, tol: float) -> TransformVali
 
     Matrices passing both tests conjugate zero-row-sum matrices to zero-row-sum
     matrices; this is necessary for the result to be a Laplacian but not
-    sufficient, so structure is always re-validated downstream.
+    sufficient, so structure is always re-validated downstream.  ``tol``
+    must be positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     q = transform.entries
     n = transform.order
     # Products of huge entries overflow to inf or nan, and both fail the tests.

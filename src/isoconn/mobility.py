@@ -21,9 +21,9 @@ from .errors import (
     NonFiniteError,
     NotLaplacianError,
 )
-from .matrices import SquareMatrix, _eigh_stack, _stack_slices
+from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
 from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
-from .topology import AgentConfiguration, _laplacian_from_positions, validate_laplacian
+from .topology import AgentConfiguration, _check_agent, _laplacian_from_positions, validate_laplacian
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class BlockDecomposition:
     coupling: np.ndarray
     coupling_total: float
     agent: int
-    rest: tuple[int, ...]
 
     def __post_init__(self):
         arr = np.array(self.coupling, dtype=float)
@@ -51,6 +50,10 @@ class BlockDecomposition:
     @property
     def coupling_diag(self) -> SquareMatrix:
         return SquareMatrix(np.diag(self.coupling))
+
+    @property
+    def rest(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.reduced.order + 1) if i != self.agent)
 
     def reassemble(self) -> SquareMatrix:
         """Rebuild the full matrix, in the original index order."""
@@ -69,8 +72,7 @@ class BlockDecomposition:
 def block_decompose(laplacian: SquareMatrix, agent: int) -> BlockDecomposition:
     """Split a Laplacian around one agent."""
     n = laplacian.order
-    if not 0 <= agent < n:
-        raise IndexError(f"agent index {agent} out of range for order {n}")
+    _check_agent(agent, n)
     if not validate_laplacian(laplacian, 1e-9).passed:
         raise NotLaplacianError("matrix fails structural Laplacian validation")
     m = laplacian.entries
@@ -83,7 +85,6 @@ def block_decompose(laplacian: SquareMatrix, agent: int) -> BlockDecomposition:
         coupling=coupling,
         coupling_total=float(m[agent, agent]),
         agent=agent,
-        rest=rest,
     )
 
 
@@ -93,9 +94,11 @@ def connectivity_differential(
     """Quadratic form fiedler^T @ variation @ fiedler with the unit Fiedler vector.
 
     The variation must be a valid Laplacian variation: symmetric with rows
-    summing to zero within ``tol`` (relative to its largest entry).  Refuses a
-    repeated second eigenvalue, where the differential is not well defined.
+    summing to zero within ``tol`` (positive and finite, relative to its
+    largest entry).  Refuses a repeated second eigenvalue, where the
+    differential is not well defined.
     """
+    _check_tol(tol)
     if laplacian.order != variation.order:
         raise InvalidVariationError(
             f"orders differ: {laplacian.order} vs {variation.order}"
@@ -123,9 +126,7 @@ def laplacian_motion_derivative(
     used (the model is one-sided there).
     """
     pos = config.positions()
-    n = len(config.agents)
-    if not 0 <= mobile < n:
-        raise IndexError(f"agent index {mobile} out of range for order {n}")
+    _check_agent(mobile, len(config.agents))
     u = np.asarray(direction, dtype=float)
     norm = float(np.hypot(u[0], u[1]))
     if norm == 0.0:
@@ -186,8 +187,11 @@ class MoveSolution:
     original: tuple[float, float]
     alternatives: tuple[tuple[float, float], ...]
     preserved_neighbors: tuple[int, ...]
-    free: bool = False
     circle: Circle | None = None
+
+    @property
+    def free(self) -> bool:
+        return not self.preserved_neighbors
 
 
 def _collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
@@ -220,8 +224,7 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
     """
     pos = config.positions()
     n = len(config.agents)
-    if not 0 <= mobile < n:
-        raise IndexError(f"agent index {mobile} out of range for order {n}")
+    _check_agent(mobile, n)
     p0 = pos[mobile]
     comm_range = config.comm_range
     dists = {j: float(np.hypot(*(p0 - pos[j]))) for j in range(n) if j != mobile}
@@ -235,7 +238,7 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
         )
 
     if not neighbors:
-        return MoveSolution(original, (), (), free=True)
+        return MoveSolution(original, (), ())
 
     if len(neighbors) == 1:
         j = neighbors[0]
@@ -325,8 +328,7 @@ def integrate_connectivity_change(
         raise ValueError(f"steps must be below 2**62, got {steps}")
     pos = config.positions()
     n = len(config.agents)
-    if not 0 <= mobile < n:
-        raise IndexError(f"agent index {mobile} out of range for order {n}")
+    _check_agent(mobile, n)
     pts = [np.array([float(w[0]), float(w[1])]) for w in waypoints]
     for i, point in enumerate(pts):
         if not np.isfinite(point).all():

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiedlerError, NotLaplacianError, OrderMismatchError
-from .matrices import SYMMETRY_TOL, SquareMatrix, _check_symmetric, _symmetric_eigenvalues
+from .matrices import SYMMETRY_TOL, SquareMatrix, _check_symmetric, _check_tol, _symmetric_eigenvalues
 from .topology import _validated_eigensystem
 
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -19,14 +19,13 @@ DEGENERACY_GAP = 1e-9
 class ConnectivityReport:
     """Second eigenvalue and its eigenvector, with a degeneracy flag.
 
-    ``fiedler`` is unit-norm under the solver's sign convention; ``degenerate``
-    means the gap to the third eigenvalue is below 1e-9, in which case the
-    reported vector is still deterministic but not mathematically unique.
+    ``fiedler`` is unit-norm under the solver's sign convention.  ``lambda2``
+    and ``degenerate`` are read from ``spectrum``: ``degenerate`` means the gap
+    to the third eigenvalue is below 1e-9, in which case the reported vector
+    is still deterministic but not mathematically unique.
     """
 
-    lambda2: float
     fiedler: np.ndarray
-    degenerate: bool
     spectrum: np.ndarray
 
     def __post_init__(self):
@@ -34,6 +33,14 @@ class ConnectivityReport:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def lambda2(self) -> float:
+        return float(self.spectrum[1])
+
+    @property
+    def degenerate(self) -> bool:
+        return self.spectrum.size >= 3 and bool(self.spectrum[2] - self.spectrum[1] < DEGENERACY_GAP)
 
     def to_json_dict(self) -> dict:
         return {
@@ -56,13 +63,7 @@ def algebraic_connectivity(
     # Validation passes asymmetries up to ``tol``; the eigensystem, read from
     # the symmetrized matrix, stands for the input only up to SYMMETRY_TOL.
     _check_symmetric(laplacian.entries, SYMMETRY_TOL)
-    degenerate = laplacian.order >= 3 and bool(w[2] - w[1] < DEGENERACY_GAP)
-    return ConnectivityReport(
-        lambda2=float(w[1]),
-        fiedler=v[:, 1],
-        degenerate=degenerate,
-        spectrum=w,
-    )
+    return ConnectivityReport(fiedler=v[:, 1], spectrum=w)
 
 
 def fiedler_gap(values: np.ndarray) -> np.ndarray:
@@ -101,7 +102,8 @@ def _spectra_agree(wa: np.ndarray, wb: np.ndarray, tol: float) -> bool:
 
 
 def is_isospectral(a: SquareMatrix, b: SquareMatrix, tol: float = DEFAULT_EIGENVALUE_TOL) -> bool:
-    """True when the full sorted spectra agree element-wise within ``tol``."""
+    """True when the full sorted spectra agree element-wise within ``tol`` (positive, finite)."""
+    _check_tol(tol)
     _require_same_order(a.order, b.order)
     return _spectra_agree(_symmetric_eigenvalues(a), _symmetric_eigenvalues(b), tol)
 
@@ -134,11 +136,12 @@ class NullSpaceCheck:
 def fiedler_null_space_check(
     base: SquareMatrix, other: SquareMatrix, tol: float = DEFAULT_RESIDUAL_TOL
 ) -> NullSpaceCheck:
-    """Test (other - base) @ fiedler(base) == 0 within ``tol``.
+    """Test (other - base) @ fiedler(base) == 0 within ``tol`` (positive, finite).
 
     Both inputs must be valid Laplacians with a simple second eigenvalue;
     degenerate inputs are refused because the Fiedler vector is not unique there.
     """
+    _check_tol(tol)
     _require_same_order(base.order, other.order)
     rep_a = algebraic_connectivity(base)
     rep_b = algebraic_connectivity(other)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAgentsError
-from .matrices import SquareMatrix, _eigh_stack, _symmetrized
-
-CONNECTIVITY_TOL = 1e-9
+from .matrices import SquareMatrix, _check_tol, _eigh_stack, _symmetrized
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,12 @@ def adjacency_weight(distance: float, sigma: float, comm_range: float) -> float:
     return math.exp(-(sigma / comm_range) * distance)
 
 
+def _check_agent(index: int, n: int) -> None:
+    """IndexError unless ``index`` names one of ``n`` agents."""
+    if not 0 <= index < n:
+        raise IndexError(f"agent index {index} out of range for order {n}")
+
+
 def _weights_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
     # pos is (..., n, 2); leading axes stack independent configurations.
     # Distances between coordinates near the float64 limit overflow to inf,
@@ -181,7 +185,7 @@ def validate_laplacian(matrix: SquareMatrix, tol: float) -> LaplacianValidation:
 
     Spectral flags (psd, connected) are computed on the symmetrized matrix so an
     asymmetric input still gets a meaningful report; a single node counts as
-    connected.
+    connected.  ``tol`` must be positive and finite.
     """
     return _validated_eigensystem(matrix, tol, vectors=False)[0]
 
@@ -195,8 +199,7 @@ def _validated_eigensystem(
     symmetrized matrix, so a caller that needs the spectrum of an already
     symmetric Laplacian solves it only once.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     m = matrix.entries
     n = matrix.order
     # Entries near the float64 limit overflow these sums: the flag is then false.

@@ -20,8 +20,8 @@ from .errors import (
     NonFiniteError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _eigh_stack, _stack_slices
-from .topology import AgentConfiguration, _laplacian_from_positions
+from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
+from .topology import AgentConfiguration, _check_agent, _laplacian_from_positions
 
 TARGET_CONNECTIVITY = 4.0
 
@@ -29,13 +29,6 @@ TARGET_CONNECTIVITY = 4.0
 def _check_parameters(alpha: float, beta: float) -> None:
     if not (alpha > 0 and beta > 0):
         raise NonPositiveParameterError(f"parameters must be positive, got ({alpha}, {beta})")
-
-
-def _check_tol(tol: float) -> None:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
 
 
 def _dense_family_entries(alpha: float, beta: float) -> np.ndarray:
@@ -94,7 +87,10 @@ class ValidityCheck:
     inequality_holds: bool
     lambda2: float
     lambda2_at_target: bool
-    discrepancy: bool
+
+    @property
+    def discrepancy(self) -> bool:
+        return self.inequality_holds and not self.lambda2_at_target
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,13 +120,7 @@ def _validity_check(
     if lambda2 is None:
         # Finite entries: the discriminant would have overflowed first.
         lambda2 = float(_eigh_stack(_dense_family_entries(alpha, beta)[None])[0][0, 1])
-    at_target = abs(lambda2 - TARGET_CONNECTIVITY) <= tol
-    return ValidityCheck(
-        inequality_holds=inequality_holds,
-        lambda2=lambda2,
-        lambda2_at_target=at_target,
-        discrepancy=inequality_holds and not at_target,
-    )
+    return ValidityCheck(inequality_holds, lambda2, abs(lambda2 - TARGET_CONNECTIVITY) <= tol)
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,10 @@ class ZoneSample:
     tol: float
     grid: GridSpec
     accepted: tuple[ZonePoint, ...]
-    rejected_count: int
+
+    @property
+    def rejected_count(self) -> int:
+        return self.grid.nx * self.grid.ny - len(self.accepted)
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,33 +207,29 @@ def iso_connectivity_zone(
 
     Each cell center is tried in row-major order; the default target is the
     configuration's own connectivity level.  Cells that would stack the mobile
-    agent on top of another one are counted as rejected.  The cells are taken
-    from the grid one fixed-size stack at a time and solved together, each
-    cell bit-identical to its own single solve, so memory grows with the
-    accepted points only.  The default target is one more slice of the first
-    stack, with the mobile agent at its own position.  ``tol`` and ``target``
-    must be finite.
+    agent on top of another one are never solved, and every cell not accepted
+    counts as rejected.  The other cells are taken from the grid one
+    fixed-size stack at a time and solved together, each cell bit-identical
+    to its own single solve, so memory grows with the accepted points only.
+    The default target is one more slice of the first stack, with the mobile
+    agent at its own position.  ``tol`` and ``target`` must be finite.
     """
     _check_tol(tol)
     if target is not None and not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     n = len(config.agents)
-    if not 0 <= mobile < n:
-        raise IndexError(f"agent index {mobile} out of range for order {n}")
+    _check_agent(mobile, n)
     pos = config.positions()
-    others = np.delete(pos, mobile, axis=0)
-    centers = grid.centers()
+    fixed = set(map(tuple, np.delete(pos, mobile, axis=0).tolist()))
+    cells = (c for c in grid.centers() if c not in fixed)
     per_chunk = _stack_slices(n, vectors=False)
     # The first stack also holds the default target, so it takes one cell
     # less; at one slice per stack (orders above 128) it holds the target only.
     take = per_chunk - (target is None)
     accepted: list[ZonePoint] = []
-    rejected = 0
-    while (cells := list(islice(centers, take))) or target is None:
+    while (chunk := list(islice(cells, take))) or target is None:
         take = per_chunk
-        points = np.array(cells).reshape(-1, 2)
-        coincident = (points[:, None, :] == others[None, :, :]).all(axis=-1).any(axis=-1)
-        placed = points[~coincident]
+        placed = np.array(chunk).reshape(-1, 2)
         if target is None:
             placed = np.concatenate([pos[mobile][None], placed])
         work = np.repeat(pos[None], len(placed), axis=0)
@@ -249,11 +238,7 @@ def iso_connectivity_zone(
         solved = _eigh_stack(laps)[0][:, 1].tolist()
         if target is None:
             target, solved = solved[0], solved[1:]
-        lam2 = iter(solved)
-        for (x, y), skip in zip(cells, coincident.tolist()):
-            lam = None if skip else next(lam2)
-            if not skip and abs(lam - target) <= tol:
+        for (x, y), lam in zip(chunk, solved):
+            if abs(lam - target) <= tol:
                 accepted.append(ZonePoint(x, y, lam))
-            else:
-                rejected += 1
-    return ZoneSample(target, tol, grid, tuple(accepted), rejected)
+    return ZoneSample(target, tol, grid, tuple(accepted))

@@ -500,6 +500,17 @@ class TestParametric:
         assert code == 1
         assert json.loads(err)["error"] == "NonPositiveParameter"
 
+    def test_tol_reaches_the_validity_verdict(self, capsys):
+        # lambda2 is 4.0000000000000036 here: within the 1e-9 default of the
+        # target level, but not within 1e-20.
+        argv = ["parametric", "--alpha", "2", "--beta", "3", "--precision", "full"]
+        _, out, _ = run(capsys, argv)
+        _, tight, _ = run(capsys, argv + ["--tol", "1e-20"])
+        assert json.loads(out)["validity"]["lambda2_at_target"] is True
+        validity = json.loads(tight)["validity"]
+        assert validity["lambda2"] == 4.0000000000000036
+        assert validity["lambda2_at_target"] is False and validity["discrepancy"] is True
+
 
 class TestRender:
     def test_valid_xml_and_stable_bytes(self, workdir, capsys):
@@ -518,9 +529,13 @@ class TestRender:
         xml.dom.minidom.parseString(out)
 
     def test_json_format_rejected(self, workdir, capsys):
+        # An argparse choice: the usage error exits 2 from inside parse_args.
         _, _, config_path = workdir
-        code, _, _ = run(capsys, ["render", "--input", config_path, "--format", "json"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--input", config_path, "--format", "json"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidInput"
 
 
 class TestCliContract:
@@ -534,6 +549,18 @@ class TestCliContract:
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sub", [s for s in SUBCOMMANDS if s != "render"])
+    def test_svg_format_on_a_json_subcommand_exits_2(self, sub, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--format", "svg"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "InvalidInput",
+            "message": f"isoconn {sub}: argument --format: invalid choice: 'svg' (choose from 'json', 'csv')",
+        }
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

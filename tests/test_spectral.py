@@ -102,7 +102,8 @@ class TestFiedlerGap:
     def test_simplicity_equals_the_two_sided_rule(self, spectrum):
         w = np.cumsum(spectrum)
         degenerate = len(w) >= 3 and bool(w[2] - w[1] < DEGENERACY_GAP)
-        report = ConnectivityReport(float(w[1]), np.zeros(len(w)), degenerate, w)
+        report = ConnectivityReport(np.zeros(len(w)), w)
+        assert report.degenerate is degenerate
         expected = not degenerate and float(w[1] - w[0]) >= DEGENERACY_GAP
         assert fiedler_is_simple(report) is expected
 

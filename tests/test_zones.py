@@ -364,6 +364,33 @@ class TestZoneStreaming:
         assert json.dumps(got) == json.dumps(want)
         assert sizes == [1] * (1 + 6)
 
+    def test_coincident_cells_leave_before_stacking(self, monkeypatch):
+        # Three fixed agents sit on cell centres; 13 of the 16 cells are
+        # solved, three per stack, the first stack holding the target too.
+        config = make_config([(0.5, 0.5), (2.5, 1.5), (1.0, 1.0), (3.5, 3.5)], comm_range=3.0)
+        grid = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4)
+        sizes = []
+
+        def recording(stack, vectors=False):
+            sizes.append(stack.shape[0])
+            return _eigh_stack(stack, vectors)
+
+        monkeypatch.setattr(matrices, "_STACK_ENTRIES", 3 * 4 * 4)
+        monkeypatch.setattr(zones, "_eigh_stack", recording)
+        for target in (None, 0.1):
+            sizes.clear()
+            got = assert_same_zone(config, 2, grid, target=target, tol=0.5)
+            assert got["rejected_count"] >= 3
+            assert sizes[:-1] == [3] * 4 and sum(sizes) == 13 + (target is None)
+
+    def test_given_target_with_every_cell_coincident_solves_nothing(self, monkeypatch):
+        config = make_config([(0.5, 0.5), (1.5, 0.5), (3.0, 3.0)])
+        sizes = []
+        monkeypatch.setattr(zones, "_eigh_stack", lambda stack, vectors=False: sizes.append(stack.shape[0]))
+        sample = iso_connectivity_zone(config, 2, GridSpec(0.0, 2.0, 0.0, 1.0, 2, 1), target=0.0, tol=100.0)
+        assert sizes == []
+        assert sample.accepted == () and sample.rejected_count == 2
+
     def test_memory_does_not_grow_with_the_grid(self):
         # No cell is accepted, so the scan keeps nothing per cell: a grid of
         # 16 times the cells must not raise the peak by half.  Listing every
