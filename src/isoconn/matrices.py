@@ -25,9 +25,12 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 _SWEEP_TOL = 1e-14   # off-diagonal Frobenius mass relative to ||M||_F
 _MAX_SWEEPS = 100
-# Matrix entries per solved stack, eigenvectors included (256 KiB): bounds the
-# memory of a stacked caller whatever its number of slices.
-_STACK_ENTRIES = 1 << 15
+# Matrix entries per solved stack, eigenvectors included (1 MiB): bounds the
+# memory of a stacked caller whatever its number of slices.  Each stack pays
+# its sweeps x pairs of array calls whatever its size (order 8 with vectors,
+# on a 2-CPU x86-64 host: 256 slices in about 23 ms, 502 in about 34 ms), so
+# the budget lets a 500-step path of any order up to 11 run as one stack.
+_STACK_ENTRIES = 1 << 17
 # Largest entry a slice may have before it is solved scaled (and its inverse,
 # the smallest nonzero one): inside the band the sweeps' sum of squares and
 # 1e-28 times it stay normal floats at any order below 2^100.

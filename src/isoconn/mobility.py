@@ -20,10 +20,11 @@ from .errors import (
     InvalidVariationError,
     NonFiniteError,
     NotLaplacianError,
+    OrderTooSmallError,
 )
 from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
 from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
-from .topology import AgentConfiguration, _check_agent, _laplacian_from_positions, validate_laplacian
+from .topology import AgentConfiguration, _check_agent, _moved_laplacians, validate_laplacian
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,10 @@ class BlockDecomposition:
 
 
 def block_decompose(laplacian: SquareMatrix, agent: int) -> BlockDecomposition:
-    """Split a Laplacian around one agent."""
+    """Split a Laplacian around one agent; the order must be at least 2."""
     n = laplacian.order
+    if n < 2:
+        raise OrderTooSmallError("block decomposition needs order >= 2")
     _check_agent(agent, n)
     if not validate_laplacian(laplacian, 1e-9).passed:
         raise NotLaplacianError("matrix fails structural Laplacian validation")
@@ -312,8 +315,9 @@ def integrate_connectivity_change(
     the gap isolating the second eigenvalue drops below ``gap_tol`` anywhere
     along the path (checked at the start, then the end, then the midpoints in
     path order), and warns if any link crosses the range boundary between
-    evaluations.  Waypoints must be finite, and no midpoint may land exactly
-    on a fixed agent (CoincidentAgentsError), where the derivative is undefined.
+    evaluations.  ``gap_tol`` must be positive and finite.  Waypoints must be
+    finite, and no midpoint may land exactly on a fixed agent
+    (CoincidentAgentsError), where the derivative is undefined.
 
     The end points and midpoints are solved in stacks of bounded size, so
     memory does not grow with ``steps``.  A stack's solves, derivatives, range
@@ -326,6 +330,7 @@ def integrate_connectivity_change(
     if steps >= 2**62:
         # The schedule indexes its midpoints with int64.
         raise ValueError(f"steps must be below 2**62, got {steps}")
+    _check_tol(gap_tol)
     pos = config.positions()
     n = len(config.agents)
     _check_agent(mobile, n)
@@ -380,9 +385,7 @@ def integrate_connectivity_change(
         h, unit = seg_h[seg], seg_unit[seg]
         points = np.concatenate([ends_xy[lo:min(hi, 2)], seg_start[seg] + (arcs * h)[:, None] * unit])
         n_ends = len(points) - len(mid)
-        work = np.repeat(pos[None], len(points), axis=0)
-        work[:, mobile] = points
-        values, vectors = _eigh_stack(_laplacian_from_positions(work, sigma, comm_range), vectors=True)
+        values, vectors = _eigh_stack(_moved_laplacians(pos, mobile, points, sigma, comm_range), vectors=True)
         dist = np.hypot(*np.moveaxis(pos - points[:, None], -1, 0))
         dist[:, mobile] = np.inf  # no link to the mobile agent's own start
 
@@ -413,7 +416,9 @@ def integrate_connectivity_change(
         # comparing each point with the start finds the same first crossings
         # as comparing consecutive points.
         note_crossings(np.nonzero(in_range[n_ends:] != start_flags)[1])
-        dlap = _motion_derivative_stack(work[n_ends:], sigma, comm_range, mobile, unit)
+        work = np.repeat(pos[None], len(mid), axis=0)
+        work[:, mobile] = points[n_ends:]
+        dlap = _motion_derivative_stack(work, sigma, comm_range, mobile, unit)
         fiedler = vectors[n_ends:, :, 1]
         # fiedler^T dlap fiedler, rounded as the 2-d product of one point.
         forms = np.vecdot((fiedler[:, None, :] @ dlap)[:, 0, :], fiedler)

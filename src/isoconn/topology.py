@@ -120,25 +120,51 @@ def _check_agent(index: int, n: int) -> None:
         raise IndexError(f"agent index {index} out of range for order {n}")
 
 
-def _weights_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
-    # pos is (..., n, 2); leading axes stack independent configurations.
+def _link_weights(a: np.ndarray, b: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
+    # Weights of the links between the broadcast positions a and b (..., 2).
     # Distances between coordinates near the float64 limit overflow to inf,
     # which puts the pair out of range: the right weight, 0.
     with np.errstate(over="ignore"):
-        diff = pos[..., :, None, :] - pos[..., None, :, :]
+        diff = a - b
         dist = np.sqrt((diff * diff).sum(axis=-1))
-    w = np.where(dist <= comm_range, np.exp(-(sigma / comm_range) * dist), 0.0)
+    return np.where(dist <= comm_range, np.exp(-(sigma / comm_range) * dist), 0.0)
+
+
+def _weights_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
+    # pos is (..., n, 2); leading axes stack independent configurations.
+    w = _link_weights(pos[..., :, None, :], pos[..., None, :, :], sigma, comm_range)
     idx = np.arange(pos.shape[-2])
     w[..., idx, idx] = 0.0
     return w
 
 
-def _laplacian_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
-    w = _weights_from_positions(pos, sigma, comm_range)
+def _laplacian_from_weights(w: np.ndarray) -> np.ndarray:
     lap = -w
-    idx = np.arange(pos.shape[-2])
+    idx = np.arange(w.shape[-1])
     lap[..., idx, idx] = w.sum(axis=-1)
     return lap
+
+
+def _laplacian_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
+    return _laplacian_from_weights(_weights_from_positions(pos, sigma, comm_range))
+
+
+def _moved_laplacians(
+    pos: np.ndarray, mobile: int, points: np.ndarray, sigma: float, comm_range: float
+) -> np.ndarray:
+    """Laplacians (G, n, n) of ``pos`` (n, 2) with agent ``mobile`` moved to each of ``points`` (G, 2).
+
+    Slice g is bit-identical to ``_laplacian_from_positions`` of the moved
+    positions: the fixed agents' weights are computed once, the mobile
+    agent's links per point, each with the same float operations, and the
+    degrees are the same row sums of the same (G, n, n) weights.
+    """
+    links = _link_weights(points[:, None, :], pos, sigma, comm_range)
+    links[:, mobile] = 0.0
+    w = np.repeat(_weights_from_positions(pos, sigma, comm_range)[None], len(points), axis=0)
+    w[:, mobile] = links
+    w[:, :, mobile] = links
+    return _laplacian_from_weights(w)
 
 
 def build_adjacency(config: AgentConfiguration) -> SquareMatrix:

@@ -21,7 +21,7 @@ from .errors import (
     NonPositiveParameterError,
 )
 from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
-from .topology import AgentConfiguration, _check_agent, _laplacian_from_positions
+from .topology import AgentConfiguration, _check_agent, _moved_laplacians
 
 TARGET_CONNECTIVITY = 4.0
 
@@ -232,9 +232,7 @@ def iso_connectivity_zone(
         placed = np.array(chunk).reshape(-1, 2)
         if target is None:
             placed = np.concatenate([pos[mobile][None], placed])
-        work = np.repeat(pos[None], len(placed), axis=0)
-        work[:, mobile] = placed
-        laps = _laplacian_from_positions(work, config.sigma, config.comm_range)
+        laps = _moved_laplacians(pos, mobile, placed, config.sigma, config.comm_range)
         solved = _eigh_stack(laps)[0][:, 1].tolist()
         if target is None:
             target, solved = solved[0], solved[1:]

@@ -13,6 +13,7 @@ from isoconn import (
     DegenerateFiedlerError,
     InvalidVariationError,
     NonFiniteError,
+    OrderTooSmallError,
     SquareMatrix,
     algebraic_connectivity,
     block_decompose,
@@ -43,6 +44,11 @@ class TestBlockDecompose:
         assert np.array_equal(decomp.coupling, [w])
         assert decomp.coupling_total == w
         assert decomp.reassemble().equals(lap)
+
+    def test_order_one_is_too_small(self):
+        # A single agent leaves nothing to split off.
+        with pytest.raises(OrderTooSmallError, match="order >= 2"):
+            block_decompose(SquareMatrix.from_rows([[0.0]]), 0)
 
     def test_base_matrix_last_agent(self, l1):
         decomp = block_decompose(l1, 3)
@@ -489,16 +495,18 @@ class TestStackedPathSolves:
                 args = seeded_walk(seed, n)
                 expected = outcome(one_solve_per_point, *args)
                 assert outcome(integrate_connectivity_change, *args) == expected, (n, seed)
-                if n <= 8:
-                    # Seven points per stack: stack boundaries fall all over the walk.
-                    with monkeypatch.context() as m:
-                        m.setattr(matrices, "_STACK_ENTRIES", 7 * 2 * n * n)
-                        assert outcome(integrate_connectivity_change, *args) == expected, (n, seed)
+                # Seven points per stack up to order 8, so that stack
+                # boundaries fall all over the walk, and 64 above, so that a
+                # walk of 30-100 steps takes one stack or two.
+                per_stack = 7 if n <= 8 else 64
+                with monkeypatch.context() as m:
+                    m.setattr(matrices, "_STACK_ENTRIES", per_stack * 2 * n * n)
+                    assert outcome(integrate_connectivity_change, *args) == expected, (n, seed)
                 if len(expected) == 2:
                     kinds.add(expected[1].split(" below ")[1].partition(" ")[2].split(" (")[0])
                 else:
                     kinds.add("crossing" if expected[2] else "clean")
-                    if args[3] + 2 > _stack_slices(n, vectors=True):
+                    if n > 8 and args[3] + 2 > per_stack:
                         kinds.add("several stacks")
         assert kinds == {
             "at the path start", "at the path end", "along the path", "crossing", "clean", "several stacks"
@@ -507,7 +515,9 @@ class TestStackedPathSolves:
     def test_stacks_stay_within_the_entry_budget(self, monkeypatch):
         n = 8
         config, mobile, waypoints, _ = seeded_walk(2, n)
-        steps = 600
+        # Two full stacks and a part one at the default budget.
+        per_stack = _stack_slices(n, vectors=True)
+        steps = 2 * per_stack + 88
         sizes = []
 
         def recording(stack, vectors=False):
@@ -520,6 +530,22 @@ class TestStackedPathSolves:
         assert outcome(integrate_connectivity_change, config, mobile, waypoints, steps) == expected
         assert len(expected) == 3
         assert len(sizes) == 3 and max(sizes) <= matrices._STACK_ENTRIES
+        assert sizes[:2] == [2 * per_stack * n * n] * 2
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_a_500_step_path_is_one_stack(self, monkeypatch, n):
+        # Up to order 11 the default budget holds all 502 points of a
+        # 500-step path, so each stack's fixed sweep cost is paid once.
+        config, mobile, waypoints, _ = seeded_walk(2, n)  # range 100: connected
+        calls = []
+
+        def recording(stack, vectors=False):
+            calls.append(stack.shape[0])
+            return _eigh_stack(stack, vectors)
+
+        monkeypatch.setattr(mobility, "_eigh_stack", recording)
+        result = integrate_connectivity_change(config, mobile, waypoints, 500)
+        assert calls == [502] and math.isfinite(result.integral)
 
     @pytest.mark.parametrize(
         "points,message",
@@ -591,12 +617,14 @@ class TestStackedPathSolves:
 
     def test_memory_does_not_grow_with_the_steps(self):
         # The schedule, the range flags and the derivatives are built one
-        # stack at a time: ten times the steps must not raise the peak.
+        # stack at a time: ten times the steps must not raise the peak.  The
+        # smaller walk already fills a stack at the default budget.
         config = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (3.0, 3.0)], comm_range=10.0)
         path = [(1.0, 2.0), (2.0, 1.0), (2.5, 2.5)]
         integrate_connectivity_change(config, 2, path, 100)
+        base = 2 * _stack_slices(4, vectors=True)
         peaks = []
-        for steps in (2000, 20000):
+        for steps in (base, 10 * base):
             tracemalloc.start()
             try:
                 integrate_connectivity_change(config, 2, path, steps)

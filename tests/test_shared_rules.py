@@ -28,6 +28,9 @@ from conftest import make_config
 L = dense_family_laplacian(2.0, 3.0)
 Q = permutation_matrix([3, 2, 1, 0])
 V = SquareMatrix.from_rows([[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+# Equilateral agents: the second eigenvalue is repeated at the path start, so
+# an unchecked nan, negative or zero gap_tol returned an integral here.
+TRIANGLE = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))], comm_range=5.0)
 
 TOL_CALLS = {
     "validate_laplacian": lambda tol: validate_laplacian(L, tol),
@@ -37,6 +40,9 @@ TOL_CALLS = {
     "is_isospectral": lambda tol: is_isospectral(L, L, tol),
     "fiedler_null_space_check": lambda tol: fiedler_null_space_check(L, L, tol),
     "connectivity_differential": lambda tol: connectivity_differential(L, V, tol),
+    "integrate_connectivity_change": lambda tol: integrate_connectivity_change(
+        TRIANGLE, 2, [(1.0, math.sqrt(3.0)), (1.5, 2.5)], 20, gap_tol=tol
+    ),
 }
 
 

@@ -16,7 +16,7 @@ from isoconn import (
     symmetric_eigendecomposition,
     validate_laplacian,
 )
-from isoconn.topology import _laplacian_from_positions, _weights_from_positions
+from isoconn.topology import _laplacian_from_positions, _moved_laplacians, _weights_from_positions
 from conftest import L1_ROWS, l1_geometry, make_config, random_config
 
 
@@ -102,6 +102,45 @@ class TestStackedBuild:
         pos = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308], [0.0, 0.0]])
         w = _weights_from_positions(pos, 1.0, 10.0)
         assert np.array_equal(w, np.zeros((4, 4)))
+
+
+class TestMovedLaplacians:
+    """One agent moved over many points, against the full stacked build."""
+
+    @staticmethod
+    def full_build(pos, mobile, points, comm_range):
+        work = np.repeat(pos[None], len(points), axis=0)
+        work[:, mobile] = points
+        return _laplacian_from_positions(work, 1.0, comm_range)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("comm_range", [3.0, 6.0, 100.0])
+    def test_bit_identical_to_the_full_build(self, n, comm_range):
+        rng = np.random.default_rng([n, int(comm_range)])
+        pos = rng.uniform(0.0, 8.0, size=(n, 2))
+        mobile = int(rng.integers(n))
+        points = rng.uniform(-1.0, 9.0, size=(40, 2))
+        points[:n] = pos  # on every fixed agent and on the mobile agent's start
+        got = _moved_laplacians(pos, mobile, points, 1.0, comm_range)
+        # tobytes also tells -0.0 from 0.0.
+        assert got.tobytes() == self.full_build(pos, mobile, points, comm_range).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_coordinates_near_the_float64_limit(self, n):
+        # The suite turns numpy warnings into failures, so this also checks
+        # the overflowing differences and squares stay silent.
+        rng = np.random.default_rng([n, 308])
+        pos = rng.uniform(0.0, 8.0, size=(n, 2))
+        pos[0] = (1e308, -1e308)
+        points = np.concatenate([
+            rng.uniform(-1.0, 9.0, size=(6, 2)),
+            [(1e308, -1e308), (-1e308, 1e308), (1e308, 0.0), (0.0, -1e308), (1.7e308, 1.7e308)],
+        ])
+        for mobile in (0, n - 1):
+            for comm_range in (3.0, 6.0, 100.0):
+                got = _moved_laplacians(pos, mobile, points, 1.0, comm_range)
+                assert got.tobytes() == self.full_build(pos, mobile, points, comm_range).tobytes()
+
 
 class TestValidateLaplacian:
     def test_base_matrix_is_connected(self, l1):

@@ -327,7 +327,9 @@ class TestZoneMatchesPerCellScan:
     def test_grid_larger_than_one_chunk(self, monkeypatch):
         n = 8
         config = geometric_config(np.random.default_rng(21), n)
-        grid = GridSpec(-1.0, 8.0, -1.0, 8.0, 24, 24)
+        # The smallest square grid with more cells than one stack holds.
+        side = math.isqrt(_stack_slices(n, vectors=False)) + 1
+        grid = GridSpec(-1.0, 8.0, -1.0, 8.0, side, side)
         assert grid.nx * grid.ny > _stack_slices(n, vectors=False)
         sizes = []
 
@@ -394,11 +396,13 @@ class TestZoneStreaming:
     def test_memory_does_not_grow_with_the_grid(self):
         # No cell is accepted, so the scan keeps nothing per cell: a grid of
         # 16 times the cells must not raise the peak by half.  Listing every
-        # cell up front raised it about 6-fold.
+        # cell up front raised it about 6-fold.  The smaller grid already
+        # fills a stack at the default budget.
         config = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0)], comm_range=10.0)
         iso_connectivity_zone(config, 2, GridSpec(0.0, 4.0, -3.0, 3.0, 8, 8), target=100.0)
+        side = math.isqrt(_stack_slices(3, vectors=False)) + 1
         peaks = []
-        for k in (64, 256):
+        for k in (side, 4 * side):
             grid = GridSpec(0.05, 4.05, -3.05, 2.95, k, k)
             tracemalloc.start()
             try:
