@@ -8,6 +8,7 @@ fixed sweep order, fixed rotation choice, fixed eigenvector sign convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,6 +36,14 @@ _STACK_ENTRIES = 1 << 17
 # the smallest nonzero one): inside the band the sweeps' sum of squares and
 # 1e-28 times it stay normal floats at any order below 2^100.
 _SCALE_BAND = 2.0 ** 400
+# Largest order a single solve runs through a kernel written out for its
+# order (see _unrolled_kernel).  Its compile, once per process and order, pays
+# for itself after some 50-90 solves at any order (2-CPU x86-64, values /
+# vectors: 1.7 / 2.1 ms against about 36 / 39 us saved per solve at n=4,
+# 6.1 / 9.0 ms against 107 / 156 us at n=6).  Long runs of single solves
+# come from dense-family sweeps, which are order 4, while a CLI run that
+# solves one matrix of order 5-8 would pay the larger compiles for nothing.
+_UNROLLED_MAX_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -108,12 +117,75 @@ class SpectralDecomposition:
             object.__setattr__(self, name, arr)
 
 
+@functools.cache
+def _unrolled_kernel(n: int, vectors: bool):
+    """``_jacobi_python`` for order ``n`` with every loop written out, compiled once.
+
+    Each matrix entry ``a[i][j]`` and eigenvector entry ``v[i][j]`` is a local
+    ``ai_j``/``vi_j``, and each sweep lists its (p, q) rotations in the cyclic
+    order, so a solve does the list kernel's arithmetic in the same order,
+    without its subscripts and inner loops: the same bits, signed zeros and
+    ``ConvergenceError`` messages.  The kernel reads ``_SWEEP_TOL``,
+    ``_MAX_SWEEPS`` and ``ConvergenceError`` from this module when it runs.
+    """
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    v = [[f"v{i}_{j}" for j in range(n)] for i in range(n)]
+
+    def rotated(x: str, y: str) -> str:
+        return f"{x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}"
+
+    def listed(names) -> str:
+        return "[" + ", ".join(names) + "]"
+
+    body = [
+        "sqrt = math.sqrt",
+        f"{listed(listed(row) for row in a)} = sym.tolist()",
+        *(f"{v[i][j]} = {1.0 if i == j else 0.0!r}" for i in range(n) for j in range(n) if vectors),
+        "fro2 = " + " + ".join(["0.0"] + [f"{x} * {x}" for row in a for x in row]),
+        "thr2 = (_SWEEP_TOL * _SWEEP_TOL) * fro2",
+        "sweeps = 0",
+        "while True:",
+        "    off2 = " + " + ".join(["0.0"] + [f"2.0 * {a[i][j]} * {a[i][j]}" for i in range(n) for j in range(i + 1, n)]),
+        "    if off2 <= thr2:",
+        "        break",
+        "    if sweeps == _MAX_SWEEPS:",
+        f'        raise ConvergenceError(f"no convergence after {{_MAX_SWEEPS}} sweeps (order {n})")',
+        "    sweeps += 1",
+    ]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            body += [
+                f"    if {a[p][q]} != 0.0:",
+                f"        theta = ({a[q][q]} - {a[p][p]}) / (2.0 * {a[p][q]})",
+                "        mag = abs(theta)",
+                "        if mag > 1e150:",
+                "            t = 0.5 / theta",
+                "        else:",
+                "            t = (1.0 if theta >= 0.0 else -1.0) / (mag + sqrt(theta * theta + 1.0))",
+                "        c = 1.0 / sqrt(t * t + 1.0)",
+                "        s = t * c",
+                *(f"        {rotated(a[k][p], a[k][q])}" for k in range(n)),
+                *(f"        {rotated(a[p][k], a[q][k])}" for k in range(n)),
+                *(f"        {rotated(v[k][p], v[k][q])}" for k in range(n) if vectors),
+            ]
+    vectors_out = f"np.array({listed(listed(row) for row in v)})" if vectors else "None"
+    body.append(f"return np.array({listed(a[i][i] for i in range(n))}), {vectors_out}")
+    source = "def kernel(sym):\n" + "".join(f"    {line}\n" for line in body)
+    namespace: dict = {}
+    exec(compile(source, f"<jacobi order {n}>", "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
 def _jacobi_python(sym: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     # Scalar loops on nested lists: one matrix solves faster this way than as a
     # stack of one in _jacobi_stack at every order measured (median of repeated
     # solves of a geometric Laplacian: 0.078 vs 1.8 ms at n=4, 7.6 vs 37 ms at
-    # n=16, 0.34 vs 0.69 s at n=64).  The eigenvector rotations never feed
-    # back into ``a``, so skipping them leaves the eigenvalues' bits alone.
+    # n=16, 0.34 vs 0.69 s at n=64).  Orders up to _UNROLLED_MAX_ORDER run the
+    # same arithmetic written out in full, with no subscripts or inner loops.
+    # The eigenvector rotations never feed back into ``a``, so skipping them
+    # leaves the eigenvalues' bits alone.
+    if sym.shape[0] <= _UNROLLED_MAX_ORDER:
+        return _unrolled_kernel(sym.shape[0], vectors)(sym)
     sqrt = math.sqrt
     n = sym.shape[0]
     a = sym.tolist()
@@ -143,10 +215,11 @@ def _jacobi_python(sym: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarr
                 continue
             # Cosine and sine annihilating (p, q): the smaller-angle root, sign-fixed.
             theta = (aq[q] - ap[p]) / (2.0 * apq)
-            if abs(theta) > 1e150:  # avoid overflow in theta*theta
+            mag = abs(theta)
+            if mag > 1e150:  # avoid overflow in theta*theta
                 t = 0.5 / theta
             else:
-                t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + sqrt(theta * theta + 1.0))
+                t = (1.0 if theta >= 0.0 else -1.0) / (mag + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c
             # Columns first: the rows' update reads the (p, q) block they leave.

@@ -99,7 +99,8 @@ def connectivity_differential(
     The variation must be a valid Laplacian variation: symmetric with rows
     summing to zero within ``tol`` (positive and finite, relative to its
     largest entry).  Refuses a repeated second eigenvalue, where the
-    differential is not well defined.
+    differential is not well defined, and raises NonFiniteError when the
+    quadratic form overflows float64.
     """
     _check_tol(tol)
     if laplacian.order != variation.order:
@@ -108,15 +109,26 @@ def connectivity_differential(
         )
     d = variation.entries
     scale = max(1.0, float(np.abs(d).max()))
-    if float(np.abs(d - d.T).max()) > tol * scale:
+    # Near the float64 limit a difference or a row sum may overflow: inf (or
+    # the nan of two opposite overflows) fails the check like any large value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = float(np.abs(d - d.T).max())
+        row_sum = float(np.abs(d.sum(axis=1)).max())
+    if not asymmetry <= tol * scale:
         raise InvalidVariationError("variation is not symmetric")
-    if float(np.abs(d.sum(axis=1)).max()) > tol * scale:
+    if not row_sum <= tol * scale:
         raise InvalidVariationError("variation rows do not sum to zero")
     report = algebraic_connectivity(laplacian)
     if not fiedler_is_simple(report):
         raise DegenerateFiedlerError("second eigenvalue is repeated; differential undefined")
     v = report.fiedler
-    return float(v @ d @ v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(v @ d @ v)
+    if not math.isfinite(value):
+        raise NonFiniteError(
+            f"differential overflows float64: {value} from variation entries up to {scale:.6e}"
+        )
+    return value
 
 
 def laplacian_motion_derivative(

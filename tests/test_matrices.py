@@ -245,6 +245,25 @@ EDGE_ROWS = [
 ]
 
 
+def signed_zero_corpus(seed, n):
+    """Random symmetric matrices of order ``n`` with exact signed zeros and tiny (p, q) entries."""
+    rng = np.random.default_rng([seed, n, 41])
+    m = rng.uniform(-10.0, 10.0, size=(n, n))
+    m = np.triu(m) + np.triu(m, 1).T
+    mats = [m]
+    for fill in (0.0, -0.0, 1e-160, 5e-324, -5e-324):
+        x = m.copy()
+        mask = np.triu(rng.random((n, n)) < 0.4)
+        # Off the diagonal only for the tiny ones: they are there to make theta huge.
+        if abs(fill) > 0.0:
+            mask &= ~np.eye(n, dtype=bool)
+        x[mask] = fill
+        x.T[mask] = fill
+        mats.append(x)
+    mats.append(np.diag(rng.choice([-0.0, 0.0, 1.0], size=n)))
+    return mats
+
+
 class TestScalarKernelMatchesFrozenReference:
     """The live scalar kernel against conftest's frozen copy: the same bytes, with and without vectors."""
 
@@ -284,6 +303,61 @@ class TestScalarKernelMatchesFrozenReference:
         self.assert_same_bytes(np.diag([-0.0, 0.0] * 4))
         self.assert_same_bytes(np.zeros((3, 3)))
         self.assert_same_bytes(np.array([[-0.0]]))
+
+    @pytest.mark.parametrize("n", range(1, matrices._UNROLLED_MAX_ORDER + 1))
+    def test_small_orders_with_signed_zeros_and_tiny_entries(self, n):
+        # The orders the generated kernels solve.
+        for seed in range(40):
+            for m in signed_zero_corpus(seed, n):
+                self.assert_same_bytes(m)
+
+
+class TestUnrolledKernel:
+    """Orders up to _UNROLLED_MAX_ORDER run a kernel generated once per order."""
+
+    def test_sweep_cap_message(self, monkeypatch):
+        dense = random_symmetric(7, 4).entries
+        monkeypatch.setattr(matrices, "_MAX_SWEEPS", 1)
+        for vectors in (False, True):
+            with pytest.raises(ConvergenceError) as frozen:
+                frozen_jacobi(dense, vectors)
+            with pytest.raises(ConvergenceError) as live:
+                matrices._jacobi_python(dense, vectors)
+            assert str(live.value) == str(frozen.value) == "no convergence after 1 sweeps (order 4)"
+
+    def test_each_kernel_compiles_once(self, monkeypatch):
+        compiled = []
+
+        def counting_compile(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        matrices._unrolled_kernel.cache_clear()
+        monkeypatch.setattr(matrices, "compile", counting_compile, raising=False)
+        for _ in range(3):
+            for n in range(1, matrices._UNROLLED_MAX_ORDER + 1):
+                for vectors in (False, True):
+                    matrices._jacobi_python(random_symmetric(n, n).entries, vectors)
+        # One values-only and one eigenvector kernel per order.
+        assert sorted(compiled) == sorted(
+            f"<jacobi order {n}>" for n in range(1, matrices._UNROLLED_MAX_ORDER + 1) for _ in range(2)
+        )
+        assert matrices._unrolled_kernel.cache_info().currsize == len(compiled)
+
+    def test_larger_orders_take_the_list_loops(self, monkeypatch):
+        orders = []
+        unrolled = matrices._unrolled_kernel
+
+        def recording(n, vectors):
+            orders.append(n)
+            return unrolled(n, vectors)
+
+        monkeypatch.setattr(matrices, "_unrolled_kernel", recording)
+        cap = matrices._UNROLLED_MAX_ORDER
+        for n in (cap, cap + 1):
+            TestScalarKernelMatchesFrozenReference.assert_same_bytes(random_symmetric(n, n).entries)
+        # A values-only and an eigenvector solve at the cap, none above it.
+        assert orders == [cap, cap]
 
 
 class TestEigvalsStack:

@@ -139,6 +139,27 @@ class TestConnectivityDifferential:
         with pytest.raises(DegenerateFiedlerError):
             connectivity_differential(k4, zero)
 
+    def test_overflowing_checks_reject_without_warnings(self):
+        # The difference and the row sums overflow to inf; pytest turns any
+        # numpy RuntimeWarning into an error.
+        lap = SquareMatrix.from_rows([[1.0, -1.0], [-1.0, 1.0]])
+        asymmetric = SquareMatrix.from_rows([[1.7e308, 1.7e308], [-1.7e308, 0.0]])
+        with pytest.raises(InvalidVariationError, match="not symmetric"):
+            connectivity_differential(lap, asymmetric)
+        unbalanced = SquareMatrix.from_rows([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+        with pytest.raises(InvalidVariationError, match="do not sum to zero"):
+            connectivity_differential(lap, unbalanced)
+
+    def test_overflowing_differential_is_non_finite(self):
+        # A valid variation whose quadratic form, -2 * 1.7e308, overflows float64.
+        lap = SquareMatrix.from_rows([[1.0, -1.0], [-1.0, 1.0]])
+        variation = SquareMatrix.from_rows([[-1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        with pytest.raises(NonFiniteError, match="differential overflows float64: -inf"):
+            connectivity_differential(lap, variation)
+        # Half the size, the same form is finite: -1.7e308.
+        half = SquareMatrix(variation.entries / 2.0)
+        assert connectivity_differential(lap, half) == pytest.approx(-1.7e308)
+
     def test_disconnected_graph_refused(self):
         # Two components glue the second eigenvalue to the zero one, so the
         # Fiedler vector is just as non-unique as in the repeated-upper case.

@@ -1,8 +1,11 @@
 """Eigensolves per public call: each Laplacian is solved once per call.
 
-Every solve goes through ``matrices._eigh_stack``, which runs one of two
-kernels: the scalar ``_jacobi_python`` for a stack of one matrix and the
-vectorised ``_jacobi_stack`` for more.  These tests count the kernel calls.
+Every solve goes through ``matrices._eigh_stack``, which runs the scalar
+``_jacobi_python`` for a stack of one matrix and the vectorised
+``_jacobi_stack`` for more.  ``_jacobi_python`` hands orders up to
+``_UNROLLED_MAX_ORDER`` to a kernel generated for their order, but every
+single solve still enters through it.  These tests count the calls to the
+two entry kernels.
 """
 
 import json
