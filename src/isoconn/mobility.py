@@ -24,7 +24,7 @@ from .errors import (
 )
 from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
 from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
-from .topology import AgentConfiguration, _check_agent, _moved_laplacians, validate_laplacian
+from .topology import AgentConfiguration, _check_agent, _mobile_links, _moved_laplacians, validate_laplacian
 
 
 @dataclass(frozen=True)
@@ -109,21 +109,24 @@ def connectivity_differential(
         )
     d = variation.entries
     scale = max(1.0, float(np.abs(d).max()))
-    # Near the float64 limit a difference or a row sum may overflow: inf (or
-    # the nan of two opposite overflows) fails the check like any large value.
-    with np.errstate(over="ignore", invalid="ignore"):
-        asymmetry = float(np.abs(d - d.T).max())
-        row_sum = float(np.abs(d.sum(axis=1)).max())
-    if not asymmetry <= tol * scale:
+    # Partial sums of entries near the float64 limit overflow where the true
+    # sums do not: a variation with an entry above 2^1000 is checked and
+    # contracted scaled by an exact power of two, and the form scaled back.
+    shift = math.frexp(scale)[1] if scale > 2.0**1000 else 0
+    d = np.ldexp(d, -shift)
+    bound = tol * math.ldexp(scale, -shift)
+    asymmetry = float(np.abs(d - d.T).max())
+    row_sum = float(np.abs(d.sum(axis=1)).max())
+    if not asymmetry <= bound:
         raise InvalidVariationError("variation is not symmetric")
-    if not row_sum <= tol * scale:
+    if not row_sum <= bound:
         raise InvalidVariationError("variation rows do not sum to zero")
     report = algebraic_connectivity(laplacian)
     if not fiedler_is_simple(report):
         raise DegenerateFiedlerError("second eigenvalue is repeated; differential undefined")
     v = report.fiedler
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(v @ d @ v)
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp(v @ d @ v, shift))
     if not math.isfinite(value):
         raise NonFiniteError(
             f"differential overflows float64: {value} from variation entries up to {scale:.6e}"
@@ -147,33 +150,28 @@ def laplacian_motion_derivative(
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     u = u / norm
-    return SquareMatrix(_motion_derivative_stack(pos[None], config.sigma, config.comm_range, mobile, u[None])[0])
+    return SquareMatrix(_motion_derivative_stack(pos, mobile, pos[[mobile]], u[None], config.sigma, config.comm_range)[0])
 
 
 def _motion_derivative_stack(
-    pos: np.ndarray, sigma: float, comm_range: float, mobile: int, units: np.ndarray
+    pos: np.ndarray, mobile: int, points: np.ndarray, units: np.ndarray, sigma: float, comm_range: float
 ) -> np.ndarray:
-    """Laplacian derivatives (G, n, n) for (G, n, 2) positions, agent ``mobile`` moving along ``units[g]``.
+    """Laplacian derivatives (G, n, n) of ``pos`` (n, 2) with agent ``mobile`` at ``points[g]`` moving along ``units[g]``.
 
-    Each slice is bit-identical to differentiating its links one at a time in
-    agent order: ``math.exp`` per in-range link (``np.exp`` rounds
-    differently), ``np.vecdot`` for the 2-vector dot (the BLAS dot of
-    ``rel @ unit``; a multiply-and-add rounds differently), the link's degree
-    entries as ``0.0 + da`` (no negative zero) and the mobile agent's degree
-    summed left to right.
+    Each slice is bit-identical to differentiating its links (those of
+    ``topology._mobile_links``) one at a time in agent order: ``math.exp`` per
+    link (``np.exp`` rounds differently), ``np.vecdot`` for the 2-vector dot
+    (the BLAS dot of ``rel @ unit``; a multiply-and-add rounds differently),
+    the link's degree entries as ``0.0 + da`` (no negative zero) and the
+    mobile agent's degree summed left to right.
     """
-    g_count, n = pos.shape[:2]
+    g_count, n = len(points), len(pos)
     rate = sigma / comm_range
-    # A difference that overflows is out of range, as in the weights.
-    with np.errstate(over="ignore"):
-        rel = pos[:, mobile, None, :] - pos
-    dist = np.hypot(rel[..., 0], rel[..., 1])
-    linked = dist <= comm_range
-    linked[:, mobile] = False
-    g, j = np.nonzero(linked)
-    dist = dist[g, j]
+    g, j = np.nonzero(_mobile_links(pos, mobile, points, comm_range))
+    rel = points[g] - pos[j]
+    dist = np.hypot(rel[:, 0], rel[:, 1])
     decay = np.array(list(map(math.exp, ((-rate) * dist).tolist())))
-    da = decay * (-rate) * np.vecdot(rel[g, j], units[g]) / dist
+    da = decay * (-rate) * np.vecdot(rel, units[g]) / dist
     d = np.zeros((g_count, n, n))
     d[g, j, j] = 0.0 + da
     d[g, j, mobile] = -da
@@ -217,7 +215,7 @@ def _collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
     d = d / np.hypot(d[0], d[1])
     for p in points[2:]:
         r = p - base
-        if abs(d[0] * r[1] - d[1] * r[0]) > tol * max(1.0, float(np.hypot(r[0], r[1]))):
+        if not abs(d[0] * r[1] - d[1] * r[0]) <= tol * max(1.0, float(np.hypot(r[0], r[1]))):
             return False
     return True
 
@@ -229,47 +227,39 @@ def _reflect_across_line(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return a + 2.0 * float(v @ d) * d - v
 
 
+# A witness or reflection near the float64 limit may overflow; kept() drops it.
+@np.errstate(over="ignore", invalid="ignore")
 def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
     """Alternative positions for one agent that leave the Laplacian unchanged.
 
     Every in-range neighbor pins the agent to a circle; the intersection of the
-    circles (minus the current position) is returned, filtered so that no
-    previously out-of-range agent comes into range.  Three or more non-collinear
-    neighbors pin the agent completely.
+    circles (minus the current position) is returned, keeping only finite
+    candidates with the current position's links.  Three or more
+    non-collinear neighbors pin the agent completely.
     """
     pos = config.positions()
-    n = len(config.agents)
-    _check_agent(mobile, n)
+    _check_agent(mobile, len(pos))
     p0 = pos[mobile]
-    comm_range = config.comm_range
-    dists = {j: float(np.hypot(*(p0 - pos[j]))) for j in range(n) if j != mobile}
-    neighbors = tuple(j for j, dist in sorted(dists.items()) if dist <= comm_range)
-    outsiders = tuple(j for j in sorted(dists) if j not in neighbors)
     original = (float(p0[0]), float(p0[1]))
+    current = _mobile_links(pos, mobile, p0[None], config.comm_range)
+    neighbors = tuple(np.nonzero(current[0])[0].tolist())
 
-    def keeps_outsiders_out(candidate: np.ndarray) -> bool:
-        return all(
-            float(np.hypot(*(candidate - pos[j]))) > comm_range for j in outsiders
-        )
+    def kept(candidates: np.ndarray) -> tuple[tuple[float, float], ...]:
+        same = (_mobile_links(pos, mobile, candidates, config.comm_range) == current).all(axis=1)
+        return tuple(map(tuple, candidates[np.isfinite(candidates).all(axis=1) & same].tolist()))
 
     if not neighbors:
         return MoveSolution(original, (), ())
 
     if len(neighbors) == 1:
-        j = neighbors[0]
-        center = pos[j]
-        radius = dists[j]
+        center = pos[neighbors[0]]
+        radius = float(np.hypot(*(p0 - center)))
         phi0 = math.atan2(p0[1] - center[1], p0[0] - center[0])
-        witnesses = []
-        count = 8
-        for k in range(1, count):
-            phi = phi0 + 2.0 * math.pi * k / count
-            cand = center + radius * np.array([math.cos(phi), math.sin(phi)])
-            if keeps_outsiders_out(cand):
-                witnesses.append((float(cand[0]), float(cand[1])))
+        phis = [phi0 + 2.0 * math.pi * k / 8 for k in range(1, 8)]
+        cands = center + radius * np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
         return MoveSolution(
             original,
-            tuple(witnesses),
+            kept(cands),
             neighbors,
             circle=Circle((float(center[0]), float(center[1])), radius),
         )
@@ -282,9 +272,7 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
     if float(np.hypot(*(mirrored - p0))) <= 1e-9 * scale:
         # Agent sits on the neighbor line: the circles touch instead of crossing.
         return MoveSolution(original, (), neighbors)
-    if not keeps_outsiders_out(mirrored):
-        return MoveSolution(original, (), neighbors)
-    return MoveSolution(original, ((float(mirrored[0]), float(mirrored[1])),), neighbors)
+    return MoveSolution(original, kept(mirrored[None]), neighbors)
 
 
 @dataclass(frozen=True)
@@ -310,8 +298,8 @@ class PathIntegralResult:
         }
 
 
-# Coordinates near the float64 limit overflow their differences to inf: such
-# agents are out of range, which is the model's answer.
+# Waypoints near the float64 limit overflow their differences to inf: the
+# path length check then refuses the path.
 @np.errstate(over="ignore")
 def integrate_connectivity_change(
     config: AgentConfiguration,
@@ -398,13 +386,12 @@ def integrate_connectivity_change(
         points = np.concatenate([ends_xy[lo:min(hi, 2)], seg_start[seg] + (arcs * h)[:, None] * unit])
         n_ends = len(points) - len(mid)
         values, vectors = _eigh_stack(_moved_laplacians(pos, mobile, points, sigma, comm_range), vectors=True)
-        dist = np.hypot(*np.moveaxis(pos - points[:, None], -1, 0))
-        dist[:, mobile] = np.inf  # no link to the mobile agent's own start
+        in_range = _mobile_links(pos, mobile, points, comm_range)
 
         # The first failing point in path order: its gap, then (midpoints
-        # only) a fixed agent it sits on, where the derivative is undefined.
+        # only) a linked agent at its coordinates, where the derivative is undefined.
         gaps = fiedler_gap(values)
-        touching = dist[n_ends:] == 0.0
+        touching = (points[n_ends:, None, :] == pos).all(axis=-1) & in_range[n_ends:]
         failing = gaps < gap_tol
         failing[n_ends:] |= touching.any(axis=1)
         if failing.any():
@@ -419,7 +406,6 @@ def integrate_connectivity_change(
             raise CoincidentAgentsError(f"agents {ids[mobile]!r} and {ids[j]!r} coincide {where}")
         ends += values[:n_ends, 1].tolist()
 
-        in_range = dist <= comm_range
         if lo == 0:
             start_flags = in_range[0]
         if lo <= 1 < hi:
@@ -428,9 +414,7 @@ def integrate_connectivity_change(
         # comparing each point with the start finds the same first crossings
         # as comparing consecutive points.
         note_crossings(np.nonzero(in_range[n_ends:] != start_flags)[1])
-        work = np.repeat(pos[None], len(mid), axis=0)
-        work[:, mobile] = points[n_ends:]
-        dlap = _motion_derivative_stack(work, sigma, comm_range, mobile, unit)
+        dlap = _motion_derivative_stack(pos, mobile, points[n_ends:], unit, sigma, comm_range)
         fiedler = vectors[n_ends:, :, 1]
         # fiedler^T dlap fiedler, rounded as the 2-d product of one point.
         forms = np.vecdot((fiedler[:, None, :] @ dlap)[:, 0, :], fiedler)

@@ -3,12 +3,15 @@
 The link weight between agents at distance d is exp(-(sigma/comm_range) * d) for
 d <= comm_range and exactly 0 beyond, so the model has a jump of size
 exp(-sigma) at the range boundary.  That discontinuity is part of the model and
-is documented rather than smoothed.
+is documented rather than smoothed.  ``_distances`` is the only place that
+decides whether a link exists, for the weights and, through ``_mobile_links``,
+for all of ``mobility``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,14 @@ class AgentConfiguration:
             raise ValueError("sigma must be positive")
         if not (self.comm_range > 0):
             raise ValueError("comm_range must be positive")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        if not math.isfinite(self.comm_range):
+            raise ValueError(f"comm_range must be finite, got {self.comm_range}")
+        if not math.isfinite(self.sigma / self.comm_range):
+            raise ValueError(
+                f"decay rate sigma / comm_range overflows: {self.sigma} / {self.comm_range}"
+            )
         n = len(agents)
         for i in range(n):
             for j in range(i + 1, n):
@@ -120,14 +131,33 @@ def _check_agent(index: int, n: int) -> None:
         raise IndexError(f"agent index {index} out of range for order {n}")
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lengths of ``a - b`` (..., 2), at least 2-d: sqrt(dx*dx + dy*dy) where that sum is normal, else hypot."""
+    with np.errstate(over="ignore", under="ignore"):
+        diff = a - b
+        dx, dy = diff[..., 0], diff[..., 1]
+        sq = dx * dx + dy * dy
+        dist = np.sqrt(sq)
+        odd = (sq < sys.float_info.min) | (sq == np.inf)
+        if odd.any():
+            dist[odd] = np.hypot(dx[odd], dy[odd])
+    return dist
+
+
+def _mobile_links(pos: np.ndarray, mobile: int, points: np.ndarray, comm_range: float) -> np.ndarray:
+    """Flags (G, n): which agents of ``pos`` (n, 2) agent ``mobile`` links to at each of ``points`` (G, 2)."""
+    linked = _distances(points[:, None, :], pos) <= comm_range
+    linked[:, mobile] = False
+    return linked
+
+
 def _link_weights(a: np.ndarray, b: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
     # Weights of the links between the broadcast positions a and b (..., 2).
-    # Distances between coordinates near the float64 limit overflow to inf,
-    # which puts the pair out of range: the right weight, 0.
-    with np.errstate(over="ignore"):
-        diff = a - b
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-    return np.where(dist <= comm_range, np.exp(-(sigma / comm_range) * dist), 0.0)
+    dist = _distances(a, b)
+    # Out of range the exponent may overflow, or be the nan of a decay rate
+    # that underflowed to 0 times an infinite distance: the weight is 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(dist <= comm_range, np.exp(-(sigma / comm_range) * dist), 0.0)
 
 
 def _weights_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:

@@ -35,6 +35,22 @@ CONFIG = {
         {"id": "a4", "x": 3.0, "y": 3.0},
     ],
 }
+
+
+def scaled(config, factor):
+    agents = [{**a, "x": a["x"] * factor, "y": a["y"] * factor} for a in config["agents"]]
+    return {**config, "range": config["range"] * factor, "agents": agents}
+
+
+# The configuration, copies scaled to where squared distances underflow and
+# overflow, and copies with a non-finite decay parameter.
+CONFIGS = {
+    "config.json": json.dumps(CONFIG),
+    "config_tiny.json": json.dumps(scaled(CONFIG, 1e-199)),
+    "config_huge.json": json.dumps(scaled(CONFIG, 1e155)),
+    "config_sigma_inf.json": json.dumps(CONFIG).replace('"sigma": 1.0', '"sigma": 1e999'),
+    "config_range_inf.json": json.dumps(CONFIG).replace('"range": 10.0', '"range": 1e999'),
+}
 # Every step count is bounded: a huge finite one would ask for unbounded work.
 STEPS = ["0", "-1", "1", "3", "2.5", "1e-320", "Infinity", "-Infinity", "NaN", '"x"']
 ENDS = ["[1.2, 2.2]", "[1e308, 0]", "[NaN, 1]", "[1e-320, 1e-320]"]
@@ -44,14 +60,14 @@ ENDS = ["[1.2, 2.2]", "[1e308, 0]", "[NaN, 1]", "[1e-320, 1e-320]"]
 def base(tmp_path_factory):
     """A directory of input files; ``missing/out.json`` names a missing directory."""
     base = tmp_path_factory.mktemp("contract")
-    texts = {
-        "config.json": json.dumps(CONFIG),
+    texts = dict(CONFIGS)
+    texts.update({
         "l1.json": json.dumps(SquareMatrix.from_rows(L1_ROWS).to_json_dict()),
         "l2.json": json.dumps(SquareMatrix.from_rows(L2_ROWS).to_json_dict()),
         "diag.json": json.dumps({"rows": [[1.0, 0.0], [0.0, 2.0]]}),
         "huge.json": json.dumps({"rows": [[1e308, -1e308], [-1e308, 1e308]]}),
         "bad.json": "{ not json",
-    }
+    })
     for i, steps in enumerate(STEPS):
         for j, end in enumerate(ENDS):
             texts[f"path{i}_{j}.json"] = '{"mobile": "a3", "waypoints": [[1.0, 2.0], %s], "steps": %s}' % (end, steps)
@@ -107,15 +123,16 @@ def argvs(draw):
     num = st.sampled_from(NUMBERS)
     matrix = st.sampled_from(["l1.json", "l2.json", "diag.json", "huge.json", "bad.json"])
     mobile = st.sampled_from(["a1", "a3", "a4", "zz"])
+    config = st.sampled_from(sorted(CONFIGS))
     sub = draw(st.sampled_from(
         ["spectrum", "connectivity", "isospectral", "transform", "moves", "integrate", "zone", "parametric", "render"]
     ))
 
     def source():
         return draw(st.sampled_from([
-            ["--input", "config.json"],
+            ["--input", draw(config)],
             ["--matrix", draw(matrix)],
-            ["--input", "config.json", "--matrix", draw(matrix)],
+            ["--input", draw(config), "--matrix", draw(matrix)],
         ]))
 
     argv = [sub]
@@ -143,14 +160,14 @@ def argvs(draw):
         ]
         argv += sum(draw(st.lists(st.sampled_from(choices), min_size=0, max_size=2, unique_by=str)), [])
     elif sub == "moves":
-        argv += ["--input", "config.json", "--mobile", draw(mobile)]
+        argv += ["--input", draw(config), "--mobile", draw(mobile)]
     elif sub == "integrate":
         path = f"path{draw(st.integers(0, len(STEPS) - 1))}_{draw(st.integers(0, len(ENDS) - 1))}.json"
-        argv += ["--input", "config.json", "--path", path]
+        argv += ["--input", draw(config), "--path", path]
     elif sub == "zone":
         bounds = ",".join(draw(num) for _ in range(draw(st.sampled_from([4, 4, 3]))))
         resolution = draw(st.sampled_from(["2,1", "3,2", "0,1", "-1,1", "nan,1", "inf,1", "2.5,1", "1e308,1", "2"]))
-        argv += ["--input", "config.json", "--mobile", draw(mobile)]
+        argv += ["--input", draw(config), "--mobile", draw(mobile)]
         argv += [f"--bounds={bounds}", "--resolution", resolution]
         argv += draw(st.sampled_from([[], ["--target", draw(num)]]))
     else:  # parametric
@@ -185,6 +202,8 @@ class TestContract:
             ["transform", "--matrix", "l1.json", "--rotation", "nan"],
             ["connectivity", "--matrix", "l1.json", "--tol", "-inf"],
             ["zone", "--input", "config.json", "--mobile", "a3", "--bounds", "0,4,1,3", "--resolution", "2,1", "--target", "nan"],
+            ["connectivity", "--input", "config_sigma_inf.json"],
+            ["moves", "--input", "config_range_inf.json", "--mobile", "a3"],
         ],
     )
     def test_input_errors_exit_2(self, base, argv):

@@ -160,6 +160,18 @@ class TestConnectivityDifferential:
         half = SquareMatrix(variation.entries / 2.0)
         assert connectivity_differential(lap, half) == pytest.approx(-1.7e308)
 
+    def test_huge_variation_is_checked_scaled(self):
+        # Rows that sum to exactly zero, with partial sums that overflow: the
+        # true form (about 2.1e308) overflows, so the answer is NonFiniteError.
+        lap = dense_family_laplacian(2.0, 3.0)
+        a = 1.6e308
+        variation = np.array([[a, a, -a, -a], [a, -a, 0.0, 0.0], [-a, 0.0, a, 0.0], [-a, 0.0, 0.0, a]])
+        with pytest.raises(NonFiniteError, match="differential overflows float64: inf"):
+            connectivity_differential(lap, SquareMatrix(variation))
+        # A quarter of it is finite, bit for bit the unscaled form.
+        value = connectivity_differential(lap, SquareMatrix(variation / 4.0))
+        assert value.hex() == "0x1.2fcbf7dc84d9cp+1022"
+
     def test_disconnected_graph_refused(self):
         # Two components glue the second eigenvalue to the zero one, so the
         # Fiedler vector is just as non-unique as in the repeated-upper case.
@@ -225,11 +237,13 @@ class TestMotionDerivativeStack:
         # moving its own way, some links in range and some not.
         rng = np.random.default_rng(43)
         n, mobile, sigma, comm_range = 7, 3, 0.8, 3.5
-        work = np.repeat(rng.uniform(0.0, 6.0, size=(n, 2))[None], 200, axis=0)
-        work[:, mobile] = rng.uniform(-1.0, 7.0, size=(200, 2))
+        pos = rng.uniform(0.0, 6.0, size=(n, 2))
+        points = rng.uniform(-1.0, 7.0, size=(200, 2))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=200)
         units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        got = mobility._motion_derivative_stack(work, sigma, comm_range, mobile, units)
+        got = mobility._motion_derivative_stack(pos, mobile, points, units, sigma, comm_range)
+        work = np.repeat(pos[None], 200, axis=0)
+        work[:, mobile] = points
         for g in range(200):
             want = _motion_derivative(work[g], sigma, comm_range, mobile, units[g])
             assert got[g].tobytes() == want.tobytes(), g
@@ -332,14 +346,32 @@ class TestMirrorMoves:
             mirror_moves(config, 5)
 
     def test_alternatives_preserve_laplacian(self):
-        config = make_config(
+        reflection = make_config(
             [(0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (40.0, 40.0)], comm_range=10.0
         )
-        base = build_laplacian(config).entries
-        solution = mirror_moves(config, 2)
-        for x, y in solution.alternatives:
-            moved = build_laplacian(config.with_position(2, x, y)).entries
-            assert np.abs(moved - base).max() <= 1e-12
+        # Agent 1 sits exactly at the range by the weights' distance (one ulp
+        # beyond it by hypot): it is a neighbor of agent 0, not an outsider.
+        boundary = make_config(
+            [(0.0, 0.0), (1.7156854108455517, 3.9633006467991816), (-1.0, 0.0)],
+            comm_range=4.318718380018206,
+        )
+        for config, mobile in ((reflection, 2), (boundary, 0)):
+            base = build_laplacian(config).entries
+            solution = mirror_moves(config, mobile)
+            for x, y in solution.alternatives:
+                moved = build_laplacian(config.with_position(mobile, x, y)).entries
+                assert np.abs(moved - base).max() <= 1e-12
+
+    def test_near_the_float64_limit_alternatives_are_finite(self):
+        # Witnesses on the circle around agent 1 overflow to inf x; they are
+        # dropped, silently (the suite turns numpy warnings into failures).
+        config = make_config([(1e308, 0.0), (1.7e308, 1e307), (-1e308, 0.0)], sigma=0.7, comm_range=1e308)
+        for mobile in range(3):
+            solution = mirror_moves(config, mobile)
+            assert np.isfinite(solution.alternatives).all()
+        solution = mirror_moves(config, 0)
+        assert solution.preserved_neighbors == (1,)
+        assert len(solution.alternatives) == 3
 
 
 class TestIntegrateConnectivityChange:

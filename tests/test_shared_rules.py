@@ -1,19 +1,23 @@
-"""One tolerance rule and one agent-index rule across the public functions."""
+"""One tolerance rule, one agent-index rule and one link rule across the public functions."""
 
 import math
 
+import numpy as np
 import pytest
 
 from isoconn import (
+    DegenerateFiedlerError,
     GridSpec,
     SquareMatrix,
     algebraic_connectivity,
     block_decompose,
+    build_adjacency,
     build_laplacian,
     connectivity_differential,
     dense_family_laplacian,
     fiedler_null_space_check,
     integrate_connectivity_change,
+    is_connected,
     is_isospectral,
     iso_connectivity_zone,
     laplacian_motion_derivative,
@@ -88,3 +92,66 @@ INDEX_CALLS = {
 def test_agent_index_out_of_range(name, index):
     with pytest.raises(IndexError, match=f"^agent index {index} out of range for order 3$"):
         INDEX_CALLS[name](index)
+
+
+# Where two distance formulas would disagree: agent 1 exactly at the range by
+# the sum of squares but one ulp beyond it by hypot, distances whose squares
+# underflow (scaled by 1e199 no pair is in range), and one distance of 7.07e307
+# whose square overflows.  Each case lists the pairs the link rule links.
+LINK_CASES = {
+    "boundary": (
+        make_config([(0.0, 0.0), (1.7156854108455517, 3.9633006467991816), (-1.0, 0.0)], comm_range=4.318718380018206),
+        {(0, 1), (0, 2)},
+    ),
+    "tiny": (make_config([(0.0, 0.0), (2e-199, 0.0), (0.0, 4e-199)], comm_range=1e-199), set()),
+    "huge": (make_config([(1e308, 0.0), (1.7e308, 1e307), (-1e308, 0.0)], sigma=0.7, comm_range=1e308), {(0, 1)}),
+}
+
+
+def linked_pairs(mobile, neighbors):
+    return {tuple(sorted((mobile, int(j)))) for j in neighbors if j != mobile}
+
+
+def link_views(config):
+    """The link set as each public function reports it."""
+    n = len(config.agents)
+    adjacency = build_adjacency(config).entries
+    derivative, mirror = set(), set()
+    for mobile in range(n):
+        row = laplacian_motion_derivative(config, mobile, (1.0, -3.0)).entries[mobile]
+        derivative |= linked_pairs(mobile, np.nonzero(row)[0])
+        mirror |= linked_pairs(mobile, mirror_moves(config, mobile).preserved_neighbors)
+    return {
+        "build_adjacency": {(i, j) for i in range(n) for j in range(i + 1, n) if adjacency[i, j] > 0.0},
+        "laplacian_motion_derivative": derivative,
+        "mirror_moves": mirror,
+    }
+
+
+def connects_all(n, pairs):
+    seen = {0}
+    for _ in range(n):
+        seen |= {b for a, b in pairs if a in seen} | {a for a, b in pairs if b in seen}
+    return len(seen) == n
+
+
+@pytest.mark.parametrize("name", sorted(LINK_CASES))
+def test_one_link_rule(name):
+    config, pairs = LINK_CASES[name]
+    views = link_views(config)
+    assert views == dict.fromkeys(views, pairs)
+    connected = connects_all(len(config.agents), pairs)
+    assert is_connected(config) == connected
+    # The path integral: a step of 1% of the range toward a linked agent keeps
+    # every link, so its range flags must see no crossing.  A disconnected
+    # start has a repeated zero eigenvalue and is refused.
+    pos = config.positions()
+    for mobile in range(len(pos)):
+        partners = [b if a == mobile else a for a, b in sorted(pairs) if mobile in (a, b)]
+        toward = pos[partners[0]] - pos[mobile] if partners else np.array([1.0, 0.0])
+        walk = [pos[mobile], pos[mobile] + toward / np.hypot(*toward) * (0.01 * config.comm_range)]
+        if not connected:
+            with pytest.raises(DegenerateFiedlerError, match="at the path start"):
+                integrate_connectivity_change(config, mobile, walk, 4)
+        else:
+            assert integrate_connectivity_change(config, mobile, walk, 4).warnings == ()

@@ -10,13 +10,14 @@ from isoconn import (
     CoincidentAgentsError,
     SquareMatrix,
     adjacency_weight,
+    build_adjacency,
     build_laplacian,
     is_connected,
     permutation_matrix,
     symmetric_eigendecomposition,
     validate_laplacian,
 )
-from isoconn.topology import _laplacian_from_positions, _moved_laplacians, _weights_from_positions
+from isoconn.topology import _distances, _laplacian_from_positions, _moved_laplacians, _weights_from_positions
 from conftest import L1_ROWS, l1_geometry, make_config, random_config
 
 
@@ -96,12 +97,33 @@ class TestStackedBuild:
         lap = _laplacian_from_positions(pos, 1.0, 10.0)
         assert lap.tobytes() == expected.tobytes()
 
+    def test_distances_whose_squares_overflow_stay_in_range(self):
+        # The a-b distance is 7.07e307, inside the range, though its square
+        # overflows; the other two distances overflow themselves.
+        config = make_config([(1e308, 0.0), (1.7e308, 1e307), (-1e308, 0.0)], sigma=0.7, comm_range=1e308)
+        w = build_adjacency(config).entries
+        assert w[0, 1] == w[1, 0] == pytest.approx(0.609586301088073, rel=1e-15)
+        assert np.count_nonzero(w) == 2
+
     def test_overflowing_distances_are_out_of_range(self):
         # Differences near the float64 limit overflow; the suite turns the
         # numpy overflow warning into a failure, so this also checks it is silent.
         pos = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308], [0.0, 0.0]])
         w = _weights_from_positions(pos, 1.0, 10.0)
         assert np.array_equal(w, np.zeros((4, 4)))
+
+
+class TestDistanceRule:
+    """``_distances``: the square root of a normal sum of squares, hypot elsewhere."""
+
+    @pytest.mark.parametrize(
+        "offset",
+        [(2e-199, 0.0), (3e-160, 4e-160), (-1e-320, 5e-324), (7e307, 1e307), (1e200, -1e200), (1.5e308, 1.5e308)],
+    )
+    def test_underflowing_and_overflowing_sums_take_hypot(self, offset):
+        # The suite turns numpy warnings into failures: the rule is silent.
+        got = _distances(np.array([offset]), np.zeros((1, 2)))
+        assert got.tolist() == [math.hypot(*offset)]
 
 
 class TestMovedLaplacians:
@@ -237,6 +259,25 @@ class TestConfigurationJson:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             AgentConfiguration.from_json_dict({"sigma": 1.0, "agents": []})
+
+    @pytest.mark.parametrize(
+        "sigma,comm_range,message",
+        [
+            (math.inf, 10.0, "sigma must be finite, got inf"),
+            (1.0, math.inf, "comm_range must be finite, got inf"),
+            (1e300, 1e-10, "decay rate sigma / comm_range overflows"),
+        ],
+    )
+    def test_decay_parameters_must_be_finite(self, sigma, comm_range, message):
+        with pytest.raises(ValueError, match=message):
+            make_config([(0.0, 0.0), (1.0, 1.0)], sigma=sigma, comm_range=comm_range)
+
+    def test_underflowing_decay_rate_builds_silently(self):
+        # sigma / comm_range underflows to 0 and the a-b distance overflows to
+        # inf: 0 * inf must not warn, and the pair is out of range.
+        config = make_config([(-1e308, 0.0), (1e308, 0.0), (1e308, 1.0)], sigma=1e-300, comm_range=1e300)
+        w = build_adjacency(config).entries
+        assert w[0, 1] == w[0, 2] == 0.0 and w[1, 2] == 1.0
 
     def test_unique_ids_enforced(self):
         with pytest.raises(ValueError):
