@@ -58,7 +58,11 @@ class NonPositiveParameterError(AnalysisError):
 
 
 class NegativeDiscriminantError(AnalysisError):
-    """The closed-form spectrum would need the square root of a negative number."""
+    """The closed-form spectrum would need the square root of a negative number.
+
+    Never raised: the discriminant is computed as a sum of squares.  Kept
+    because it is part of the public API.
+    """
 
 
 class EmptyGridError(AnalysisError):

@@ -133,12 +133,12 @@ def permutation_family(
     entries: list[IsoFamilyEntry] = []
     seen: set[bytes] = set()
 
-    def push(perm: tuple[int, ...]) -> bool:
+    def push(perm: tuple[int, ...]) -> None:
         result = _conjugate_by_perm(m, perm)
         if dedupe:
             key = result.tobytes()
             if key in seen:
-                return False
+                return
             seen.add(key)
         entries.append(
             IsoFamilyEntry(
@@ -151,7 +151,6 @@ def permutation_family(
                 perm=perm,
             )
         )
-        return True
 
     if not sample:
         for perm in itertools.permutations(range(n)):

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
 from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
-from .topology import AgentConfiguration, _check_agent, _mobile_links, _moved_laplacians, validate_laplacian
+from .topology import AgentConfiguration, _check_agent, _distances, _moved_laplacians, validate_laplacian
 
 
 @dataclass(frozen=True)
@@ -150,24 +150,27 @@ def laplacian_motion_derivative(
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     u = u / norm
-    return SquareMatrix(_motion_derivative_stack(pos, mobile, pos[[mobile]], u[None], config.sigma, config.comm_range)[0])
+    linked = _moved_laplacians(pos, mobile, pos[[mobile]], config.sigma, config.comm_range)[:, mobile] < 0.0
+    rate = config.sigma / config.comm_range
+    return SquareMatrix(_motion_derivative_stack(pos, mobile, pos[[mobile]], u[None], linked, rate)[0])
 
 
 def _motion_derivative_stack(
-    pos: np.ndarray, mobile: int, points: np.ndarray, units: np.ndarray, sigma: float, comm_range: float
+    pos: np.ndarray, mobile: int, points: np.ndarray, units: np.ndarray, linked: np.ndarray, rate: float
 ) -> np.ndarray:
     """Laplacian derivatives (G, n, n) of ``pos`` (n, 2) with agent ``mobile`` at ``points[g]`` moving along ``units[g]``.
 
-    Each slice is bit-identical to differentiating its links (those of
-    ``topology._mobile_links``) one at a time in agent order: ``math.exp`` per
-    link (``np.exp`` rounds differently), ``np.vecdot`` for the 2-vector dot
-    (the BLAS dot of ``rel @ unit``; a multiply-and-add rounds differently),
-    the link's degree entries as ``0.0 + da`` (no negative zero) and the
-    mobile agent's degree summed left to right.
+    ``linked`` (G, n) flags its links, the negative entries of its row in
+    ``_moved_laplacians``; ``rate`` is sigma / comm_range.  Each slice is
+    bit-identical to differentiating those links one at a time in agent
+    order: ``math.exp`` per link (``np.exp`` rounds differently),
+    ``np.vecdot`` for the 2-vector dot (the BLAS dot of ``rel @ unit``; a
+    multiply-and-add rounds differently), the link's degree entries as
+    ``0.0 + da`` (no negative zero) and the mobile agent's degree summed left
+    to right.
     """
     g_count, n = len(points), len(pos)
-    rate = sigma / comm_range
-    g, j = np.nonzero(_mobile_links(pos, mobile, points, comm_range))
+    g, j = np.nonzero(linked)
     rel = points[g] - pos[j]
     dist = np.hypot(rel[:, 0], rel[:, 1])
     decay = np.array(list(map(math.exp, ((-rate) * dist).tolist())))
@@ -241,11 +244,15 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
     _check_agent(mobile, len(pos))
     p0 = pos[mobile]
     original = (float(p0[0]), float(p0[1]))
-    current = _mobile_links(pos, mobile, p0[None], config.comm_range)
+
+    def links(points: np.ndarray) -> np.ndarray:
+        return _moved_laplacians(pos, mobile, points, config.sigma, config.comm_range)[:, mobile] < 0.0
+
+    current = links(p0[None])
     neighbors = tuple(np.nonzero(current[0])[0].tolist())
 
     def kept(candidates: np.ndarray) -> tuple[tuple[float, float], ...]:
-        same = (_mobile_links(pos, mobile, candidates, config.comm_range) == current).all(axis=1)
+        same = (links(candidates) == current).all(axis=1)
         return tuple(map(tuple, candidates[np.isfinite(candidates).all(axis=1) & same].tolist()))
 
     if not neighbors:
@@ -253,7 +260,7 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
 
     if len(neighbors) == 1:
         center = pos[neighbors[0]]
-        radius = float(np.hypot(*(p0 - center)))
+        radius = float(_distances(p0[None], center[None])[0])
         phi0 = math.atan2(p0[1] - center[1], p0[0] - center[0])
         phis = [phi0 + 2.0 * math.pi * k / 8 for k in range(1, 8)]
         cands = center + radius * np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
@@ -361,6 +368,7 @@ def integrate_connectivity_change(
     seg_unit = np.array([(b - a) / length for a, b, length in segments])
     seg_h = np.array([length / count for (_, _, length), count in zip(segments, counts)])
     ends_xy = np.array([segments[0][0], segments[-1][1]])
+    start_flags, end_flags = _moved_laplacians(pos, mobile, ends_xy, sigma, comm_range)[:, mobile] < 0.0
     end_labels = ("at the path start", "at the path end")
 
     warnings: list[str] = []
@@ -385,13 +393,14 @@ def integrate_connectivity_change(
         h, unit = seg_h[seg], seg_unit[seg]
         points = np.concatenate([ends_xy[lo:min(hi, 2)], seg_start[seg] + (arcs * h)[:, None] * unit])
         n_ends = len(points) - len(mid)
-        values, vectors = _eigh_stack(_moved_laplacians(pos, mobile, points, sigma, comm_range), vectors=True)
-        in_range = _mobile_links(pos, mobile, points, comm_range)
+        laps = _moved_laplacians(pos, mobile, points, sigma, comm_range)
+        linked = laps[:, mobile] < 0.0
+        values, vectors = _eigh_stack(laps, vectors=True)
 
         # The first failing point in path order: its gap, then (midpoints
         # only) a linked agent at its coordinates, where the derivative is undefined.
         gaps = fiedler_gap(values)
-        touching = (points[n_ends:, None, :] == pos).all(axis=-1) & in_range[n_ends:]
+        touching = (points[n_ends:, None, :] == pos).all(axis=-1) & linked[n_ends:]
         failing = gaps < gap_tol
         failing[n_ends:] |= touching.any(axis=1)
         if failing.any():
@@ -406,15 +415,11 @@ def integrate_connectivity_change(
             raise CoincidentAgentsError(f"agents {ids[mobile]!r} and {ids[j]!r} coincide {where}")
         ends += values[:n_ends, 1].tolist()
 
-        if lo == 0:
-            start_flags = in_range[0]
-        if lo <= 1 < hi:
-            end_flags = in_range[1 - lo]
         # An agent's flag equals its start flag until its first change, so
         # comparing each point with the start finds the same first crossings
         # as comparing consecutive points.
-        note_crossings(np.nonzero(in_range[n_ends:] != start_flags)[1])
-        dlap = _motion_derivative_stack(pos, mobile, points[n_ends:], unit, sigma, comm_range)
+        note_crossings(np.nonzero(linked[n_ends:] != start_flags)[1])
+        dlap = _motion_derivative_stack(pos, mobile, points[n_ends:], unit, linked[n_ends:], sigma / comm_range)
         fiedler = vectors[n_ends:, :, 1]
         # fiedler^T dlap fiedler, rounded as the 2-d product of one point.
         forms = np.vecdot((fiedler[:, None, :] @ dlap)[:, 0, :], fiedler)

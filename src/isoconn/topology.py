@@ -3,9 +3,9 @@
 The link weight between agents at distance d is exp(-(sigma/comm_range) * d) for
 d <= comm_range and exactly 0 beyond, so the model has a jump of size
 exp(-sigma) at the range boundary.  That discontinuity is part of the model and
-is documented rather than smoothed.  ``_distances`` is the only place that
-decides whether a link exists, for the weights and, through ``_mobile_links``,
-for all of ``mobility``.
+is documented rather than smoothed.  A link is a positive weight from
+``_link_weights``, the one comparison of a distance with the range, for the
+adjacency, ``adjacency_weight`` and, through ``_moved_laplacians``, ``mobility``.
 """
 
 from __future__ import annotations
@@ -50,18 +50,7 @@ class AgentConfiguration:
         for a in agents:
             if not (math.isfinite(a.x) and math.isfinite(a.y)):
                 raise ValueError(f"agent {a.id!r} has a non-finite position")
-        if not (self.sigma > 0):
-            raise ValueError("sigma must be positive")
-        if not (self.comm_range > 0):
-            raise ValueError("comm_range must be positive")
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
-        if not math.isfinite(self.comm_range):
-            raise ValueError(f"comm_range must be finite, got {self.comm_range}")
-        if not math.isfinite(self.sigma / self.comm_range):
-            raise ValueError(
-                f"decay rate sigma / comm_range overflows: {self.sigma} / {self.comm_range}"
-            )
+        _check_decay(self.sigma, self.comm_range)
         n = len(agents)
         for i in range(n):
             for j in range(i + 1, n):
@@ -109,20 +98,31 @@ class AgentConfiguration:
         return cls(agents, float(data["sigma"]), float(data["range"]))
 
 
+def _check_decay(sigma: float, comm_range: float) -> None:
+    """ValueError unless sigma and comm_range are positive and finite with a finite ratio."""
+    if not (sigma > 0):
+        raise ValueError("sigma must be positive")
+    if not (comm_range > 0):
+        raise ValueError("comm_range must be positive")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    if not math.isfinite(comm_range):
+        raise ValueError(f"comm_range must be finite, got {comm_range}")
+    if not math.isfinite(sigma / comm_range):
+        raise ValueError(f"decay rate sigma / comm_range overflows: {sigma} / {comm_range}")
+
+
 def adjacency_weight(distance: float, sigma: float, comm_range: float) -> float:
     """Link weight at a given distance: exp(-(sigma/comm_range)*d) in range, else 0.
 
     The boundary d == comm_range is in range (weight exp(-sigma)); the weight is
     monotone non-increasing and continuous on [0, comm_range], with a jump at the
-    boundary.
+    boundary.  Bit for bit the weight ``build_adjacency`` gives agents that far apart.
     """
-    if distance < 0:
-        raise ValueError("distance must be nonnegative")
-    if not (sigma > 0 and comm_range > 0):
-        raise ValueError("sigma and comm_range must be positive")
-    if distance > comm_range:
-        return 0.0
-    return math.exp(-(sigma / comm_range) * distance)
+    if not distance >= 0:
+        raise ValueError(f"distance must be nonnegative, got {distance}")
+    _check_decay(sigma, comm_range)
+    return float(_link_weights(np.array(distance), sigma, comm_range))
 
 
 def _check_agent(index: int, n: int) -> None:
@@ -144,16 +144,8 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _mobile_links(pos: np.ndarray, mobile: int, points: np.ndarray, comm_range: float) -> np.ndarray:
-    """Flags (G, n): which agents of ``pos`` (n, 2) agent ``mobile`` links to at each of ``points`` (G, 2)."""
-    linked = _distances(points[:, None, :], pos) <= comm_range
-    linked[:, mobile] = False
-    return linked
-
-
-def _link_weights(a: np.ndarray, b: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
-    # Weights of the links between the broadcast positions a and b (..., 2).
-    dist = _distances(a, b)
+def _link_weights(dist: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
+    # Weights of links of length dist; a link is a positive weight.
     # Out of range the exponent may overflow, or be the nan of a decay rate
     # that underflowed to 0 times an infinite distance: the weight is 0.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -162,7 +154,7 @@ def _link_weights(a: np.ndarray, b: np.ndarray, sigma: float, comm_range: float)
 
 def _weights_from_positions(pos: np.ndarray, sigma: float, comm_range: float) -> np.ndarray:
     # pos is (..., n, 2); leading axes stack independent configurations.
-    w = _link_weights(pos[..., :, None, :], pos[..., None, :, :], sigma, comm_range)
+    w = _link_weights(_distances(pos[..., :, None, :], pos[..., None, :, :]), sigma, comm_range)
     idx = np.arange(pos.shape[-2])
     w[..., idx, idx] = 0.0
     return w
@@ -189,7 +181,7 @@ def _moved_laplacians(
     agent's links per point, each with the same float operations, and the
     degrees are the same row sums of the same (G, n, n) weights.
     """
-    links = _link_weights(points[:, None, :], pos, sigma, comm_range)
+    links = _link_weights(_distances(points[:, None, :], pos), sigma, comm_range)
     links[:, mobile] = 0.0
     w = np.repeat(_weights_from_positions(pos, sigma, comm_range)[None], len(points), axis=0)
     w[:, mobile] = links

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     EmptyGridError,
-    NegativeDiscriminantError,
     NonFiniteError,
     NonPositiveParameterError,
 )
@@ -63,10 +62,7 @@ def _discriminant(alpha: float, beta: float) -> float:
 def dense_family_spectrum(alpha: float, beta: float) -> tuple[float, float, float, float]:
     """Closed-form spectrum of the family: {0, 4, 2+a+b +/- sqrt(disc)} ascending."""
     _check_parameters(alpha, beta)
-    disc = _discriminant(alpha, beta)
-    if disc < 0:
-        raise NegativeDiscriminantError(f"discriminant {disc} < 0 at ({alpha}, {beta})")
-    root = math.sqrt(disc)
+    root = math.sqrt(_discriminant(alpha, beta))
     values = sorted([0.0, 4.0, 2.0 + alpha + beta - root, 2.0 + alpha + beta + root])
     return tuple(values)
 

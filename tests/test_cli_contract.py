@@ -43,13 +43,15 @@ def scaled(config, factor):
 
 
 # The configuration, copies scaled to where squared distances underflow and
-# overflow, and copies with a non-finite decay parameter.
+# overflow, copies with a non-finite decay parameter, and a copy whose a1-a2
+# weight underflows to 0 in range.
 CONFIGS = {
     "config.json": json.dumps(CONFIG),
     "config_tiny.json": json.dumps(scaled(CONFIG, 1e-199)),
     "config_huge.json": json.dumps(scaled(CONFIG, 1e155)),
     "config_sigma_inf.json": json.dumps(CONFIG).replace('"sigma": 1.0', '"sigma": 1e999'),
     "config_range_inf.json": json.dumps(CONFIG).replace('"range": 10.0', '"range": 1e999'),
+    "config_underflow.json": json.dumps({**CONFIG, "sigma": 2000.0}),
 }
 # Every step count is bounded: a huge finite one would ask for unbounded work.
 STEPS = ["0", "-1", "1", "3", "2.5", "1e-320", "Infinity", "-Infinity", "NaN", '"x"']

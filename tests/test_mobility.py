@@ -27,7 +27,7 @@ from isoconn import (
 )
 from isoconn import matrices, mobility
 from isoconn.matrices import _eigh_stack, _stack_slices
-from isoconn.topology import _laplacian_from_positions
+from isoconn.topology import _laplacian_from_positions, _moved_laplacians
 from conftest import _eigh_core, _motion_derivative, make_config, random_config
 
 
@@ -241,7 +241,8 @@ class TestMotionDerivativeStack:
         points = rng.uniform(-1.0, 7.0, size=(200, 2))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=200)
         units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        got = mobility._motion_derivative_stack(pos, mobile, points, units, sigma, comm_range)
+        linked = _moved_laplacians(pos, mobile, points, sigma, comm_range)[:, mobile] < 0.0
+        got = mobility._motion_derivative_stack(pos, mobile, points, units, linked, sigma / comm_range)
         work = np.repeat(pos[None], 200, axis=0)
         work[:, mobile] = points
         for g in range(200):

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isoconn import (
     DegenerateFiedlerError,
     GridSpec,
     SquareMatrix,
+    adjacency_weight,
     algebraic_connectivity,
     block_decompose,
     build_adjacency,
@@ -96,8 +99,9 @@ def test_agent_index_out_of_range(name, index):
 
 # Where two distance formulas would disagree: agent 1 exactly at the range by
 # the sum of squares but one ulp beyond it by hypot, distances whose squares
-# underflow (scaled by 1e199 no pair is in range), and one distance of 7.07e307
-# whose square overflows.  Each case lists the pairs the link rule links.
+# underflow (scaled by 1e199 no pair is in range), one distance of 7.07e307
+# whose square overflows, and a weight exp(-1000) that underflows to 0 in
+# range.  Each case lists the pairs the link rule links.
 LINK_CASES = {
     "boundary": (
         make_config([(0.0, 0.0), (1.7156854108455517, 3.9633006467991816), (-1.0, 0.0)], comm_range=4.318718380018206),
@@ -105,6 +109,7 @@ LINK_CASES = {
     ),
     "tiny": (make_config([(0.0, 0.0), (2e-199, 0.0), (0.0, 4e-199)], comm_range=1e-199), set()),
     "huge": (make_config([(1e308, 0.0), (1.7e308, 1e307), (-1e308, 0.0)], sigma=0.7, comm_range=1e308), {(0, 1)}),
+    "underflow": (make_config([(0.0, 0.0), (1.0, 0.0), (0.0, -0.001)], sigma=1000.0, comm_range=1.0), {(0, 2)}),
 }
 
 
@@ -155,3 +160,21 @@ def test_one_link_rule(name):
                 integrate_connectivity_change(config, mobile, walk, 4)
         else:
             assert integrate_connectivity_change(config, mobile, walk, 4).warnings == ()
+
+
+# At the first example np.exp and math.exp round the weight differently; at
+# the second the weight exp(-800) underflows to 0 in range.
+@given(st.floats(1e-9, 1e3), st.floats(1e-3, 1e4), st.floats(1e-3, 1e3))
+@example(5.307950165029082, 1.3, 10.0)
+@example(4.0, 2000.0, 10.0)
+@settings(max_examples=100, deadline=None)
+def test_adjacency_weight_is_the_adjacency_entry(distance, sigma, comm_range):
+    config = make_config([(0.0, 0.0), (distance, 0.0)], sigma=sigma, comm_range=comm_range)
+    entry = float(build_adjacency(config).entries[0, 1])
+    assert adjacency_weight(distance, sigma, comm_range).hex() == entry.hex()
+
+
+@pytest.mark.parametrize("distance,sigma,comm_range", [(0.0, 1e300, 1e-10), (0.0, math.inf, 10.0), (math.nan, 1.0, 1.0)])
+def test_adjacency_weight_refuses_a_non_finite_decay_rate_or_distance(distance, sigma, comm_range):
+    with pytest.raises(ValueError):
+        adjacency_weight(distance, sigma, comm_range)
