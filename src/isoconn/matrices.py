@@ -46,6 +46,13 @@ _SCALE_BAND = 2.0 ** 400
 _UNROLLED_MAX_ORDER = 4
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer field: an int or an integral float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
     """Immutable dense real square matrix with finite entries."""
@@ -93,7 +100,7 @@ class SquareMatrix:
         if not isinstance(data, dict) or "rows" not in data:
             raise ValueError("matrix JSON must be an object with a 'rows' field")
         m = cls.from_rows(data["rows"])
-        if "order" in data and int(data["order"]) != m.order:
+        if "order" in data and _json_int(data["order"], "order") != m.order:
             raise ValueError("matrix JSON 'order' does not match the shape of 'rows'")
         return m
 
@@ -399,13 +406,24 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite, got {tol}")
 
 
+def _tol_scale(a: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """The scale of every tolerance on a matrix: ``a`` and ``scale`` times 2**-shift, and ``shift``.
+
+    A check of ``a`` at ``tol`` passes residuals up to ``tol * scale``, where
+    ``scale = max(1, largest |entry|)``.  Above 2^1000 the returned scale is in
+    [1, 2), so residual sums and ``tol * scale`` stay finite; else ``shift`` is 0.
+    """
+    scale = max(1.0, float(np.abs(a).max()))
+    shift = math.frexp(scale)[1] - 1 if scale > 2.0**1000 else 0
+    return np.ldexp(a, -shift), math.ldexp(scale, -shift), shift
+
+
 def _check_symmetric(a: np.ndarray, symmetry_tol: float) -> None:
     """Raise NonSymmetricError unless ``a`` is symmetric within ``symmetry_tol`` of its largest entry."""
-    scale = max(1.0, float(np.abs(a).max()))
-    with np.errstate(over="ignore"):
-        asym = float(np.abs(a - a.T).max())
+    a, scale, shift = _tol_scale(a)
+    asym = float(np.abs(a - a.T).max())
     if asym > symmetry_tol * scale:
-        raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds {symmetry_tol:.1e} * {scale:.3e}")
+        raise NonSymmetricError(f"asymmetry {asym * 2.0**shift:.3e} exceeds {symmetry_tol:.1e} * {scale * 2.0**shift:.3e}")
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     NotLaplacianError,
     OrderTooSmallError,
 )
-from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
+from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices, _tol_scale
 from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
 from .topology import AgentConfiguration, _check_agent, _distances, _moved_laplacians, validate_laplacian
 
@@ -107,29 +107,21 @@ def connectivity_differential(
         raise InvalidVariationError(
             f"orders differ: {laplacian.order} vs {variation.order}"
         )
-    d = variation.entries
-    scale = max(1.0, float(np.abs(d).max()))
-    # Partial sums of entries near the float64 limit overflow where the true
-    # sums do not: a variation with an entry above 2^1000 is checked and
-    # contracted scaled by an exact power of two, and the form scaled back.
-    shift = math.frexp(scale)[1] if scale > 2.0**1000 else 0
-    d = np.ldexp(d, -shift)
-    bound = tol * math.ldexp(scale, -shift)
+    d, scale, shift = _tol_scale(variation.entries)
     asymmetry = float(np.abs(d - d.T).max())
     row_sum = float(np.abs(d.sum(axis=1)).max())
-    if not asymmetry <= bound:
+    if not asymmetry <= tol * scale:
         raise InvalidVariationError("variation is not symmetric")
-    if not row_sum <= bound:
+    if not row_sum <= tol * scale:
         raise InvalidVariationError("variation rows do not sum to zero")
     report = algebraic_connectivity(laplacian)
     if not fiedler_is_simple(report):
         raise DegenerateFiedlerError("second eigenvalue is repeated; differential undefined")
     v = report.fiedler
-    with np.errstate(over="ignore"):
-        value = float(np.ldexp(v @ d @ v, shift))
+    value = float(v @ d @ v) * 2.0**shift
     if not math.isfinite(value):
         raise NonFiniteError(
-            f"differential overflows float64: {value} from variation entries up to {scale:.6e}"
+            f"differential overflows float64: {value} from variation entries up to {scale * 2.0**shift:.6e}"
         )
     return value
 
@@ -275,8 +267,8 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
     if not _collinear(anchor_pts):
         return MoveSolution(original, (), neighbors)
     mirrored = _reflect_across_line(p0, anchor_pts[0], anchor_pts[1])
-    scale = max(1.0, float(np.abs(anchor_pts - p0).max()))
-    if float(np.hypot(*(mirrored - p0))) <= 1e-9 * scale:
+    _, scale, shift = _tol_scale(anchor_pts - p0)
+    if math.ldexp(float(np.hypot(*(mirrored - p0))), -shift) <= 1e-9 * scale:
         # Agent sits on the neighbor line: the circles touch instead of crossing.
         return MoveSolution(original, (), neighbors)
     return MoveSolution(original, kept(mirrored[None]), neighbors)

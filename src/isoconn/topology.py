@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAgentsError
-from .matrices import SquareMatrix, _check_tol, _eigh_stack, _symmetrized
+from .matrices import SquareMatrix, _check_tol, _eigh_stack, _symmetrized, _tol_scale
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ class LaplacianValidation:
     """Structural and spectral Laplacian checks, each independently reported.
 
     ``passed`` is the structural verdict (symmetry, zero row sums, non-positive
-    off-diagonal, positive semi-definiteness); ``connected`` is informational.
+    off-diagonal, psd, all relative to the largest entry); ``connected`` is informational.
     """
 
     symmetric: bool
@@ -233,7 +233,8 @@ def validate_laplacian(matrix: SquareMatrix, tol: float) -> LaplacianValidation:
 
     Spectral flags (psd, connected) are computed on the symmetrized matrix so an
     asymmetric input still gets a meaningful report; a single node counts as
-    connected.  ``tol`` must be positive and finite.
+    connected.  ``tol`` must be positive and finite; the structural flags
+    allow ``tol * max(1, largest |entry|)``, ``connected`` needs w[1] > tol.
     """
     return _validated_eigensystem(matrix, tol, vectors=False)[0]
 
@@ -248,17 +249,15 @@ def _validated_eigensystem(
     symmetric Laplacian solves it only once.
     """
     _check_tol(tol)
-    m = matrix.entries
+    m, scale, shift = _tol_scale(matrix.entries)
+    bound = tol * scale
     n = matrix.order
-    # Entries near the float64 limit overflow these sums: the flag is then false.
-    with np.errstate(over="ignore", invalid="ignore"):
-        symmetric = float(np.abs(m - m.T).max()) <= tol
-        zero_row_sums = float(np.abs(m.sum(axis=1)).max()) <= tol
-    off = m[~np.eye(n, dtype=bool)]
-    nonpositive_offdiag = bool(off.size == 0 or off.max() <= tol)
-    w, v = _eigh_stack(_symmetrized(m)[None], vectors)
+    symmetric = float(np.abs(m - m.T).max()) <= bound
+    zero_row_sums = float(np.abs(m.sum(axis=1)).max()) <= bound
+    nonpositive_offdiag = bool((m[~np.eye(n, dtype=bool)] <= bound).all())
+    w, v = _eigh_stack(_symmetrized(matrix.entries)[None], vectors)
     w = w[0]
-    psd = bool(w[0] >= -tol)
+    psd = math.ldexp(float(w[0]), -shift) >= -bound
     connected = True if n == 1 else bool(w[1] > tol)
     checks = LaplacianValidation(symmetric, zero_row_sums, nonpositive_offdiag, psd, connected)
     return checks, w, None if v is None else v[0]

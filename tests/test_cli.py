@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoconn import SquareMatrix
+from isoconn import SquareMatrix, build_laplacian
 from isoconn.cli import main
-from conftest import K4_ROWS, L1_ROWS, L2_ROWS, L4P_ROWS, PATH3_WEIGHTED_ROWS
+from conftest import K4_ROWS, L1_ROWS, L2_ROWS, L4P_ROWS, PATH3_WEIGHTED_ROWS, make_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,6 +165,16 @@ class TestConnectivity:
         data = json.loads(out)
         assert data["lambda2"] == pytest.approx(2.0, abs=1e-9)
         assert json.loads(json.dumps(data)) == data
+
+    def test_scaled_laplacian_exits_0(self, workdir, capsys):
+        # Its row sums round to about 1e-8: NotLaplacian under an absolute
+        # tol of 1e-9, valid under tol times the largest entry.
+        _, matrix_file, _ = workdir
+        lap = build_laplacian(make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (3.0, 3.0)]))
+        path = matrix_file("scaled.json", lap.entries * 1e8)
+        code, out, err = run(capsys, ["connectivity", "--matrix", path])
+        assert code == 0 and err == ""
+        assert json.loads(out)["lambda2"] > 0.0
 
     def test_domain_error_exits_1(self, workdir, capsys):
         _, matrix_file, _ = workdir
@@ -375,6 +385,30 @@ class TestIntegrate:
         assert code == 0
         assert len(json.loads(out)["warnings"]) == 2
         assert out.encode() == (DATA / "integrate_two_crossings.json").read_bytes()
+
+    @pytest.mark.parametrize("steps", ["2.7", "0.5", '"12"', "true", "1e-320"])
+    def test_steps_must_be_an_integer(self, workdir, capsys, steps):
+        # int() used to run 2.7 as 2 steps and accept "12" and true.
+        base, _, config_path = workdir
+        path_file = base / "path.json"
+        path_file.write_text('{"mobile": "a3", "waypoints": [[1.0, 2.0], [1.2, 2.2]], "steps": %s}' % steps)
+        code, out, err = run(capsys, ["integrate", "--input", config_path, "--path", str(path_file)])
+        assert code == 2 and out == ""
+        assert "steps must be an integer" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("steps", ["50", "50.0", "5e1"])
+    def test_integral_steps_accepted(self, workdir, capsys, steps):
+        base, _, _ = workdir
+        config_path = base / "connected.json"
+        config_path.write_text(json.dumps({"sigma": 1.0, "range": 10.0, "agents": [
+            {"id": "a1", "x": 0.0, "y": 0.0},
+            {"id": "a2", "x": 4.0, "y": 0.0},
+            {"id": "a3", "x": 1.0, "y": 2.0},
+        ]}))
+        path_file = base / "path.json"
+        path_file.write_text('{"mobile": "a3", "waypoints": [[1.0, 2.0], [1.2, 2.2]], "steps": %s}' % steps)
+        code, out, _ = run(capsys, ["integrate", "--input", str(config_path), "--path", str(path_file)])
+        assert code == 0 and json.loads(out)["warnings"] == []
 
     @pytest.mark.parametrize(
         "waypoint,error",

@@ -69,6 +69,7 @@ def base(tmp_path_factory):
         "diag.json": json.dumps({"rows": [[1.0, 0.0], [0.0, 2.0]]}),
         "huge.json": json.dumps({"rows": [[1e308, -1e308], [-1e308, 1e308]]}),
         "bad.json": "{ not json",
+        "order_inf.json": '{"order": Infinity, "rows": [[1.0]]}',
     })
     for i, steps in enumerate(STEPS):
         for j, end in enumerate(ENDS):
@@ -206,6 +207,8 @@ class TestContract:
             ["zone", "--input", "config.json", "--mobile", "a3", "--bounds", "0,4,1,3", "--resolution", "2,1", "--target", "nan"],
             ["connectivity", "--input", "config_sigma_inf.json"],
             ["moves", "--input", "config_range_inf.json", "--mobile", "a3"],
+            ["integrate", "--input", "config.json", "--path", "path4_0.json"],  # "steps": 2.5
+            ["spectrum", "--matrix", "order_inf.json"],  # was an OverflowError traceback
         ],
     )
     def test_input_errors_exit_2(self, base, argv):

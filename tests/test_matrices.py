@@ -73,6 +73,16 @@ class TestSquareMatrix:
         with pytest.raises(ValueError):
             SquareMatrix.from_json_dict({"order": 3, "rows": [[1.0]]})
 
+    @pytest.mark.parametrize("order", [0.9, 1.5, "1", True, math.inf, math.nan, None])
+    def test_json_order_must_be_an_integer(self, order):
+        # int() used to truncate 1.5 to 1 and accept "1" and True.
+        with pytest.raises(ValueError, match="order must be an integer"):
+            SquareMatrix.from_json_dict({"order": order, "rows": [[1.0]]})
+
+    @pytest.mark.parametrize("order", [1, 1.0])
+    def test_json_integral_order_accepted(self, order):
+        assert SquareMatrix.from_json_dict({"order": order, "rows": [[1.0]]}).order == 1
+
 
 class TestEigendecomposition:
     def test_diagonal_matrix(self):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from isoconn import (
     DegenerateFiedlerError,
     GridSpec,
+    LaplacianValidation,
+    NonSymmetricError,
     SquareMatrix,
     adjacency_weight,
     algebraic_connectivity,
@@ -27,10 +30,11 @@ from isoconn import (
     mirror_moves,
     permutation_matrix,
     similarity_transform,
+    symmetric_eigendecomposition,
     validate_iso_transform,
     validate_laplacian,
 )
-from conftest import make_config
+from conftest import geometric_config, make_config
 
 L = dense_family_laplacian(2.0, 3.0)
 Q = permutation_matrix([3, 2, 1, 0])
@@ -78,6 +82,65 @@ def test_non_finite_tol_cannot_pass_or_fail_everything():
         validate_iso_transform(SquareMatrix.from_rows([[2, 0], [0, 7]]), math.inf)
     with pytest.raises(ValueError):
         is_isospectral(L, L, math.nan)
+
+
+# The scale of a tolerance: every structural check of a matrix allows tol
+# times max(1, largest |entry|), so a Laplacian validates at any scale.
+FOUR_AGENTS = build_laplacian(make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0), (3.0, 3.0)]))
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (6, 2), (9, 3)])
+def test_power_of_two_scalings_validate_with_the_scaled_lambda2(n, seed):
+    lap = build_laplacian(geometric_config(np.random.default_rng(seed), n))
+    lambda2 = algebraic_connectivity(lap).lambda2
+    for k in range(-20, 61):
+        scaled = SquareMatrix(np.ldexp(lap.entries, k))
+        assert validate_laplacian(scaled, 1e-9).passed, k
+        assert algebraic_connectivity(scaled).lambda2.hex() == math.ldexp(lambda2, k).hex(), k
+
+
+@pytest.mark.parametrize("factor", [1e8, 1e10])
+def test_decimal_scalings_validate(factor):
+    # The absolute rule failed zero_row_sums at both scales.
+    assert validate_laplacian(SquareMatrix(FOUR_AGENTS.entries * factor), 1e-9).passed
+
+
+def test_overflowing_asymmetry_is_not_symmetric():
+    # The true asymmetry, 3.4e308, is 2 times the largest entry; tol * scale
+    # and the differences overflow unless compared scaled by a power of two.
+    m = SquareMatrix.from_rows([[0.0, 1.7e308, -1.7e308], [-1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]])
+    assert not validate_laplacian(m, 1.5).symmetric
+    assert validate_laplacian(m, 2.5).symmetric
+    with pytest.raises(NonSymmetricError, match=r"^asymmetry inf exceeds 1\.5e\+00 \* 1\.700e\+308$"):
+        symmetric_eigendecomposition(m, symmetry_tol=1.5)
+
+
+def absolute_flags(m, tol):
+    """validate_laplacian's flags under the absolute rule: every residual against tol itself."""
+    w = symmetric_eigendecomposition(SquareMatrix(0.5 * (m + m.T))).eigenvalues
+    return LaplacianValidation(
+        symmetric=float(np.abs(m - m.T).max()) <= tol,
+        zero_row_sums=float(np.abs(m.sum(axis=1)).max()) <= tol,
+        nonpositive_offdiag=all(m[i, j] <= tol for i in range(len(m)) for j in range(len(m)) if i != j),
+        psd=w[0] >= -tol,
+        connected=len(m) == 1 or w[1] > tol,
+    )
+
+
+@st.composite
+def unit_matrices(draw):
+    """Laplacians with entries up to 1, nudged by a noise that straddles the tolerances."""
+    n = draw(st.integers(1, 6))
+    upper = np.triu(draw(arrays(float, (n, n), elements=st.floats(0.0, 1.0 / n))), 1)
+    weights = upper + upper.T
+    noise = draw(arrays(float, (n, n), elements=st.sampled_from([0.0, 0.0, 1e-13, -1e-10, 1e-8, -1e-6, 1e-3, -0.5])))
+    return np.clip(np.diag(weights.sum(axis=1)) - weights + noise, -1.0, 1.0)
+
+
+@given(unit_matrices(), st.sampled_from([1e-12, 1e-9, 1e-7, 1e-4, 0.1]))
+@settings(max_examples=200, deadline=None)
+def test_entries_up_to_one_keep_the_absolute_rule(m, tol):
+    assert validate_laplacian(SquareMatrix(m), tol) == absolute_flags(m, tol)
 
 
 CONFIG = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0)], comm_range=10.0)
