@@ -18,7 +18,7 @@ from .errors import AnalysisError
 from .families import permutation_family, similarity_transform
 from .matrices import (
     SquareMatrix,
-    _json_int,
+    _as_int,
     _symmetric_eigenvalues,
     ones_axis_rotation,
     permutation_matrix,
@@ -274,7 +274,7 @@ def _cmd_integrate(args):
     try:
         mobile = config.index_of(str(data["mobile"]))
         waypoints = [(float(p[0]), float(p[1])) for p in data["waypoints"]]
-        steps = _json_int(data["steps"], "steps")
+        steps = _as_int(data["steps"], "steps")
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise CliInputError(f"invalid path file {args.path}: {exc}") from exc
     result = integrate_connectivity_change(config, mobile, waypoints, steps)

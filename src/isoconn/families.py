@@ -16,6 +16,7 @@ from .errors import (
 )
 from .matrices import (
     SquareMatrix,
+    _as_int,
     _as_permutation,
     permutation_matrix,
     validate_iso_transform,
@@ -111,8 +112,10 @@ def permutation_family(
     wanted entry, and with ``dedupe`` no more than the n! - 1 non-identity
     relabelings are wanted whatever ``limit`` is.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
+    if limit is not None:
+        limit = _as_int(limit, "limit")
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
     if not validate_laplacian(laplacian, 1e-9).passed:
         raise NotLaplacianError("base matrix fails structural Laplacian validation")
     n = laplacian.order

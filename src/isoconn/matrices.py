@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ _MAX_SWEEPS = 100
 # Matrix entries per solved stack, eigenvectors included (1 MiB): bounds the
 # memory of a stacked caller whatever its number of slices.  Each stack pays
 # its sweeps x pairs of array calls whatever its size (order 8 with vectors,
-# on a 2-CPU x86-64 host: 256 slices in about 23 ms, 502 in about 34 ms), so
+# on a 2-CPU x86-64 host: 256 slices in about 18 ms, 502 in about 28 ms), so
 # the budget lets a 500-step path of any order up to 11 run as one stack.
 _STACK_ENTRIES = 1 << 17
 # Largest entry a slice may have before it is solved scaled (and its inverse,
@@ -46,9 +47,13 @@ _SCALE_BAND = 2.0 ** 400
 _UNROLLED_MAX_ORDER = 4
 
 
-def _json_int(value, name: str) -> int:
-    """A JSON integer field: an int or an integral float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+def _as_int(value, name: str) -> int:
+    """The one integer rule, for JSON fields and for library indices and counts.
+
+    An int, a numpy integer or an integral float, never a bool or a string;
+    anything else is a ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1 != 0:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -100,7 +105,7 @@ class SquareMatrix:
         if not isinstance(data, dict) or "rows" not in data:
             raise ValueError("matrix JSON must be an object with a 'rows' field")
         m = cls.from_rows(data["rows"])
-        if "order" in data and _json_int(data["order"], "order") != m.order:
+        if "order" in data and _as_int(data["order"], "order") != m.order:
             raise ValueError("matrix JSON 'order' does not match the shape of 'rows'")
         return m
 
@@ -132,8 +137,10 @@ def _unrolled_kernel(n: int, vectors: bool):
     ``ai_j``/``vi_j``, and each sweep lists its (p, q) rotations in the cyclic
     order, so a solve does the list kernel's arithmetic in the same order,
     without its subscripts and inner loops: the same bits, signed zeros and
-    ``ConvergenceError`` messages.  The kernel reads ``_SWEEP_TOL``,
-    ``_MAX_SWEEPS`` and ``ConvergenceError`` from this module when it runs.
+    ``ConvergenceError`` messages.  It takes the rows as nested lists of
+    floats and returns the diagonal and the eigenvector rows as lists.  The
+    kernel reads ``_SWEEP_TOL``, ``_MAX_SWEEPS`` and ``ConvergenceError``
+    from this module when it runs.
     """
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
     v = [[f"v{i}_{j}" for j in range(n)] for i in range(n)]
@@ -146,7 +153,7 @@ def _unrolled_kernel(n: int, vectors: bool):
 
     body = [
         "sqrt = math.sqrt",
-        f"{listed(listed(row) for row in a)} = sym.tolist()",
+        f"{listed(listed(row) for row in a)} = rows",
         *(f"{v[i][j]} = {1.0 if i == j else 0.0!r}" for i in range(n) for j in range(n) if vectors),
         "fro2 = " + " + ".join(["0.0"] + [f"{x} * {x}" for row in a for x in row]),
         "thr2 = (_SWEEP_TOL * _SWEEP_TOL) * fro2",
@@ -175,27 +182,42 @@ def _unrolled_kernel(n: int, vectors: bool):
                 *(f"        {rotated(a[p][k], a[q][k])}" for k in range(n)),
                 *(f"        {rotated(v[k][p], v[k][q])}" for k in range(n) if vectors),
             ]
-    vectors_out = f"np.array({listed(listed(row) for row in v)})" if vectors else "None"
-    body.append(f"return np.array({listed(a[i][i] for i in range(n))}), {vectors_out}")
-    source = "def kernel(sym):\n" + "".join(f"    {line}\n" for line in body)
+    vectors_out = listed(listed(row) for row in v) if vectors else "None"
+    body.append(f"return {listed(a[i][i] for i in range(n))}, {vectors_out}")
+    source = "def kernel(rows):\n" + "".join(f"    {line}\n" for line in body)
     namespace: dict = {}
     exec(compile(source, f"<jacobi order {n}>", "exec"), globals(), namespace)
     return namespace["kernel"]
 
 
-def _jacobi_python(sym: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _jacobi_python(sym, vectors: bool) -> tuple:
     # Scalar loops on nested lists: one matrix solves faster this way than as a
-    # stack of one in _jacobi_stack at every order measured (median of repeated
-    # solves of a geometric Laplacian: 0.078 vs 1.8 ms at n=4, 7.6 vs 37 ms at
-    # n=16, 0.34 vs 0.69 s at n=64).  Orders up to _UNROLLED_MAX_ORDER run the
-    # same arithmetic written out in full, with no subscripts or inner loops.
-    # The eigenvector rotations never feed back into ``a``, so skipping them
-    # leaves the eigenvalues' bits alone.
-    if sym.shape[0] <= _UNROLLED_MAX_ORDER:
-        return _unrolled_kernel(sym.shape[0], vectors)(sym)
+    # stack of one in _jacobi_stack at every order measured (medians of
+    # repeated solves of a geometric Laplacian with eigenvectors, 2-CPU x86-64:
+    # 0.059 vs 1.9 ms at n=4, 6.3 vs 39 ms at n=16, 0.41 vs 0.55 s at n=64).
+    # Orders up to _UNROLLED_MAX_ORDER run the same arithmetic written out in
+    # full, with no subscripts or inner loops.  The eigenvector rotations never
+    # feed back into ``a``, so skipping them leaves the eigenvalues' bits
+    # alone.  ``sym`` is an ndarray, or nested lists of floats from
+    # _eigh_stack's single values-only route; the diagonal and the eigenvector
+    # rows come back as ndarrays or as lists to match.
+    as_array = isinstance(sym, np.ndarray)
+    rows = sym.tolist() if as_array else sym
+    n = len(rows)
+    if n <= _UNROLLED_MAX_ORDER:
+        w, v = _unrolled_kernel(n, vectors)(rows)
+    else:
+        w, v = _jacobi_lists(rows, vectors)
+    if not as_array:
+        return w, v
+    return np.array(w), None if v is None else np.array(v)
+
+
+def _jacobi_lists(rows: list, vectors: bool) -> tuple[list, list | None]:
+    """``_jacobi_python``'s sweeps as list loops, for orders above ``_UNROLLED_MAX_ORDER``."""
     sqrt = math.sqrt
-    n = sym.shape[0]
-    a = sym.tolist()
+    n = len(rows)
+    a = [list(row) for row in rows]
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if vectors else None
     # The rows are updated in place, so these lists stay valid for the whole
     # solve: the cyclic (p, q) order with both rows, and the upper triangle.
@@ -246,8 +268,7 @@ def _jacobi_python(sym: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarr
                     vkq = vk[q]
                     vk[p] = c * vkp - s * vkq
                     vk[q] = s * vkp + c * vkq
-    w = np.array([a[i][i] for i in range(n)])
-    return w, None if v is None else np.array(v)
+    return [a[i][i] for i in range(n)], v
 
 
 def _stack_slices(n: int, vectors: bool) -> int:
@@ -260,15 +281,19 @@ def _jacobi_stack(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndar
     # returns the unsorted diagonals (G, n) and, with ``vectors``, the
     # transposed eigenvector matrices (G, n, n).
     g_count, n = stack.shape[0], stack.shape[-1]
-    # Layout (n, n, G): each matrix entry is one contiguous vector over the slices.
-    a = np.array(np.moveaxis(stack, 0, -1), dtype=float, order="C")
+    # Layout (n, n, G): each matrix entry is one contiguous vector over the
+    # slices.  With ``vectors`` the eigenvector matrix sits under the matrix,
+    # rows n..2n-1 of ``m``, so that one update rotates the columns of both.
+    m = np.empty((2 * n if vectors else n, n, g_count))
+    m[:n] = np.moveaxis(stack, 0, -1)
+    a = m[:n]
     out = np.empty((g_count, n))
     out_vt = None
     live = np.arange(g_count)
     diag = np.arange(n)
     if vectors:
-        v = np.zeros_like(a)
-        v[diag, diag] = 1.0
+        m[n:] = 0.0
+        m[n + diag, diag] = 1.0
         out_vt = np.empty((g_count, n, n))
     fro2 = np.zeros(g_count)
     for i in range(n):
@@ -287,23 +312,32 @@ def _jacobi_stack(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndar
             done = off2 <= thr2
             if done.any():
                 out[live[done]] = a[diag, diag][:, done].T
-                keep = ~done
                 if vectors:
-                    out_vt[live[done]] = v[..., done].T
-                    v = v[..., keep]
-                a, live, thr2 = a[..., keep], live[keep], thr2[keep]
+                    out_vt[live[done]] = m[n:, :, done].T
+                keep = ~done
+                m, live, thr2 = m[..., keep], live[keep], thr2[keep]
+                a = m[:n]
                 if not live.size:
                     break
             if sweeps == _MAX_SWEEPS:
                 raise ConvergenceError(f"no convergence after {_MAX_SWEEPS} sweeps (order {n})")
             sweeps += 1
+            lanes = live.size
+            # Cosine, sine, result and scratch buffers, once per sweep, so that
+            # the pair updates allocate nothing; the row updates use n rows.
+            col_bufs = tuple(np.empty((m.shape[0], lanes)) for _ in range(4))
+            row_bufs = tuple(buf[:n] for buf in col_bufs)
             for p in range(n - 1):
                 for q in range(p + 1, n):
                     apq = a[p, q]
                     rot = apq != 0.0
-                    if not rot.any():
+                    rotated = np.count_nonzero(rot)
+                    if not rotated:
                         continue
-                    partial = not rot.all()
+                    # Lanes whose (p, q) entry is exactly zero keep their
+                    # values, never rotated by the identity (which could flip
+                    # the sign of a zero).
+                    where = rot if rotated < lanes else True
                     # _jacobi_python's rotation, elementwise.
                     theta = (a[q, q] - a[p, p]) / (2.0 * apq)
                     mag = np.abs(theta)
@@ -312,18 +346,23 @@ def _jacobi_stack(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndar
                     if big.any():
                         t = np.where(big, 0.5 / theta, t)
                     c = 1.0 / np.sqrt(t * t + 1.0)
-                    s = t * c
-                    pairs = [(a[:, p], a[:, q]), (a[p], a[q])]
-                    if vectors:
-                        pairs.append((v[:, p], v[:, q]))
-                    for first, second in pairs:
-                        new_first = c * first - s * second
-                        new_second = s * first + c * second
-                        if partial:
-                            new_first = np.where(rot, new_first, first)
-                            new_second = np.where(rot, new_second, second)
-                        first[...] = new_first
-                        second[...] = new_second
+                    col_bufs[0][...] = c
+                    col_bufs[1][...] = t * c
+                    # Columns first (the eigenvectors' too): the rows' update
+                    # reads the (p, q) block they leave.
+                    for first, second, (c, s, new, tmp) in (
+                        (m[:, p], m[:, q], col_bufs),
+                        (a[p], a[q], row_bufs),
+                    ):
+                        # first, second = c * first - s * second, s * first + c * second
+                        np.multiply(c, first, out=new)
+                        np.multiply(s, second, out=tmp)
+                        np.subtract(new, tmp, out=new)
+                        np.multiply(s, first, out=tmp)
+                        np.copyto(first, new, where=where)
+                        np.multiply(c, second, out=new)
+                        np.add(tmp, new, out=new)
+                        np.copyto(second, new, where=where)
     return out, out_vt
 
 
@@ -346,13 +385,15 @@ def _band_exponents(stack: np.ndarray) -> np.ndarray | None:
     return np.where(outside, np.frexp(mags)[1], 0)
 
 
-def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _eigh_stack(stack, vectors: bool = False) -> tuple:
     """Eigensystems of every slice of a (G, n, n) stack of exactly symmetric matrices.
 
     The one entry point to the eigensolver.  Returns ascending eigenvalues as a
     (G, n) array and, when ``vectors`` is true, the sign-fixed eigenvectors as
     a (G, n, n) array (None otherwise); ``vectors[g][:, i]`` pairs with
-    ``values[g, i]`` and each slice is column-major.
+    ``values[g, i]`` and each slice is column-major.  For values only,
+    ``stack`` may also be a list holding one matrix as nested lists of floats;
+    its values then come back as a list holding one ascending list.
 
     A stack of one runs the scalar ``_jacobi_python`` sweeps, a larger stack
     runs ``_jacobi_stack``, which repeats the scalar sums, pair order and
@@ -363,6 +404,19 @@ def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, n
     scaling band are solved scaled by a power of two and their eigenvalues
     unscaled; a spectrum that then overflows float64 raises NonFiniteError.
     """
+    if not vectors and len(stack) == 1:
+        # One matrix, values only: Python floats from the band test to the
+        # sort, since numpy calls on n * n numbers cost as much as the sweeps
+        # at small orders.  The sort is stable like the arrays' below, so
+        # equal values (0.0 and -0.0) keep the order the sweeps give them.
+        as_array = isinstance(stack, np.ndarray)
+        rows = stack[0].tolist() if as_array else stack[0]
+        mag = max(map(abs, chain.from_iterable(rows)))
+        if mag <= _SCALE_BAND and not 0.0 < mag < 1.0 / _SCALE_BAND:
+            values = [sorted(_jacobi_python(rows, False)[0])]
+            return (np.array(values) if as_array else values), None
+        if not as_array:
+            return _eigh_stack(np.array(stack, dtype=float))[0].tolist(), None
     exps = _band_exponents(stack)
     if exps is not None:
         stack = np.ldexp(stack, -exps[:, None, None])
@@ -462,7 +516,7 @@ def _symmetric_eigenvalues(matrix: SquareMatrix) -> np.ndarray:
 
 
 def _as_permutation(perm: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(int(i) for i in perm)
+    p = tuple(_as_int(i, "permutation entry") for i in perm)
     if sorted(p) != list(range(len(p))):
         raise NotBijectionError(f"not a bijection on 0..{len(p) - 1}: {list(perm)}")
     return p

@@ -22,7 +22,7 @@ from .errors import (
     NotLaplacianError,
     OrderTooSmallError,
 )
-from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices, _tol_scale
+from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _stack_slices, _tol_scale
 from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
 from .topology import AgentConfiguration, _check_agent, _distances, _moved_laplacians, validate_laplacian
 
@@ -75,7 +75,7 @@ def block_decompose(laplacian: SquareMatrix, agent: int) -> BlockDecomposition:
     n = laplacian.order
     if n < 2:
         raise OrderTooSmallError("block decomposition needs order >= 2")
-    _check_agent(agent, n)
+    agent = _check_agent(agent, n)
     if not validate_laplacian(laplacian, 1e-9).passed:
         raise NotLaplacianError("matrix fails structural Laplacian validation")
     m = laplacian.entries
@@ -136,7 +136,7 @@ def laplacian_motion_derivative(
     used (the model is one-sided there).
     """
     pos = config.positions()
-    _check_agent(mobile, len(config.agents))
+    mobile = _check_agent(mobile, len(config.agents))
     u = np.asarray(direction, dtype=float)
     norm = float(np.hypot(u[0], u[1]))
     if norm == 0.0:
@@ -233,7 +233,7 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
     non-collinear neighbors pin the agent completely.
     """
     pos = config.positions()
-    _check_agent(mobile, len(pos))
+    mobile = _check_agent(mobile, len(pos))
     p0 = pos[mobile]
     original = (float(p0[0]), float(p0[1]))
 
@@ -297,6 +297,17 @@ class PathIntegralResult:
         }
 
 
+# Most midpoint evaluations a path may ask for: more buy nothing.  With the
+# agents and path of the two-crossings CLI example at range 100, where no link
+# crosses the range, the midpoint rule's error falls as about 2.5e-4 / steps^2
+# and meets the rounding of the sequential sum (1e-17 to 2e-16) near 2^21
+# steps.  At range 4 the two crossings make it up to about 3e-4 / steps, some
+# 2e-11 at 2^24 steps, where the crossings' own jumps, which no step count
+# sees, are 8.5e-5.  A count of 1e18 used to run until killed; 2^24 steps of
+# that order-8 path take about 11 minutes on a 2-CPU x86-64 host.
+_MAX_STEPS = 1 << 24
+
+
 # Waypoints near the float64 limit overflow their differences to inf: the
 # path length check then refuses the path.
 @np.errstate(over="ignore")
@@ -309,14 +320,15 @@ def integrate_connectivity_change(
 ) -> PathIntegralResult:
     """Integrate the connectivity differential while one agent walks a polyline.
 
-    ``steps`` midpoint evaluations are spread over the segments by length; the
-    direct endpoint difference is returned alongside for comparison.  Aborts if
-    the gap isolating the second eigenvalue drops below ``gap_tol`` anywhere
-    along the path (checked at the start, then the end, then the midpoints in
-    path order), and warns if any link crosses the range boundary between
-    evaluations.  ``gap_tol`` must be positive and finite.  Waypoints must be
-    finite, and no midpoint may land exactly on a fixed agent
-    (CoincidentAgentsError), where the derivative is undefined.
+    ``steps`` midpoint evaluations, an integer from 1 to 2**24, are spread
+    over the segments by length; the direct endpoint difference is returned
+    alongside for comparison.  Aborts if the gap isolating the second
+    eigenvalue drops below ``gap_tol`` anywhere along the path (checked at the
+    start, then the end, then the midpoints in path order), and warns if any
+    link crosses the range boundary between evaluations.  ``gap_tol`` must be
+    positive and finite.  Waypoints must be finite, and no midpoint may land
+    exactly on a fixed agent (CoincidentAgentsError), where the derivative is
+    undefined.
 
     The end points and midpoints are solved in stacks of bounded size, so
     memory does not grow with ``steps``.  A stack's solves, derivatives, range
@@ -324,15 +336,15 @@ def integrate_connectivity_change(
     bit-identical to its point-by-point form; only the quadrature sum runs
     point by point, in path order.
     """
+    steps = _as_int(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if steps >= 2**62:
-        # The schedule indexes its midpoints with int64.
-        raise ValueError(f"steps must be below 2**62, got {steps}")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"steps must be at most 2**24, got {steps}")
     _check_tol(gap_tol)
     pos = config.positions()
     n = len(config.agents)
-    _check_agent(mobile, n)
+    mobile = _check_agent(mobile, n)
     pts = [np.array([float(w[0]), float(w[1])]) for w in waypoints]
     for i, point in enumerate(pts):
         if not np.isfinite(point).all():

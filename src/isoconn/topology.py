@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAgentsError
-from .matrices import SquareMatrix, _check_tol, _eigh_stack, _symmetrized, _tol_scale
+from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _symmetrized, _tol_scale
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,12 @@ def adjacency_weight(distance: float, sigma: float, comm_range: float) -> float:
     return float(_link_weights(np.array(distance), sigma, comm_range))
 
 
-def _check_agent(index: int, n: int) -> None:
-    """IndexError unless ``index`` names one of ``n`` agents."""
+def _check_agent(index: int, n: int) -> int:
+    """``index`` as an int by the integer rule, IndexError unless it names one of ``n`` agents."""
+    index = _as_int(index, "agent index")
     if not 0 <= index < n:
         raise IndexError(f"agent index {index} out of range for order {n}")
+    return index
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _check_tol, _eigh_stack, _stack_slices
+from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _stack_slices
 from .topology import AgentConfiguration, _check_agent, _moved_laplacians
 
 TARGET_CONNECTIVITY = 4.0
@@ -30,15 +30,20 @@ def _check_parameters(alpha: float, beta: float) -> None:
         raise NonPositiveParameterError(f"parameters must be positive, got ({alpha}, {beta})")
 
 
-def _dense_family_entries(alpha: float, beta: float) -> np.ndarray:
-    return np.array(
-        [
-            [2.0 + alpha, -1.0, -1.0, -alpha],
-            [-1.0, 2.0 + beta, -1.0, -beta],
-            [-1.0, -1.0, 3.0, -1.0],
-            [-alpha, -beta, -1.0, 1.0 + alpha + beta],
-        ]
-    )
+def _dense_family_entries(alpha: float, beta: float) -> list[list[float]]:
+    """The family's rows as nested lists of floats, the form a single solve takes.
+
+    Each entry is converted as ``np.array`` would convert it, so an int or a
+    float32 parameter gives the bits of the matrix's own entries.
+    """
+    d_alpha, d_beta, d_mobile = float(2.0 + alpha), float(2.0 + beta), float(1.0 + alpha + beta)
+    w_alpha, w_beta = float(-alpha), float(-beta)
+    return [
+        [d_alpha, -1.0, -1.0, w_alpha],
+        [-1.0, d_beta, -1.0, w_beta],
+        [-1.0, -1.0, 3.0, -1.0],
+        [w_alpha, w_beta, -1.0, d_mobile],
+    ]
 
 
 def dense_family_laplacian(alpha: float, beta: float) -> SquareMatrix:
@@ -115,7 +120,7 @@ def _validity_check(
     inequality_holds = 2.0 + alpha + beta + root > 4.0
     if lambda2 is None:
         # Finite entries: the discriminant would have overflowed first.
-        lambda2 = float(_eigh_stack(_dense_family_entries(alpha, beta)[None])[0][0, 1])
+        lambda2 = _eigh_stack([_dense_family_entries(alpha, beta)])[0][0][1]
     return ValidityCheck(inequality_holds, lambda2, abs(lambda2 - TARGET_CONNECTIVITY) <= tol)
 
 
@@ -131,6 +136,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.nx < 1 or self.ny < 1 or self.xmax < self.xmin or self.ymax < self.ymin:
             raise EmptyGridError(f"grid has no cells: {self}")
         if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
@@ -214,7 +221,7 @@ def iso_connectivity_zone(
     if target is not None and not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     n = len(config.agents)
-    _check_agent(mobile, n)
+    mobile = _check_agent(mobile, n)
     pos = config.positions()
     fixed = set(map(tuple, np.delete(pos, mobile, axis=0).tolist()))
     cells = (c for c in grid.centers() if c not in fixed)

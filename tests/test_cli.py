@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import xml.dom.minidom
 from pathlib import Path
 
@@ -395,6 +396,18 @@ class TestIntegrate:
         code, out, err = run(capsys, ["integrate", "--input", config_path, "--path", str(path_file)])
         assert code == 2 and out == ""
         assert "steps must be an integer" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("steps", ["16777217", "1e18", "1000000000000000000"])
+    def test_huge_steps_exit_2_at_once(self, workdir, capsys, steps):
+        # A path of 1e18 steps used to run until killed.
+        base, _, config_path = workdir
+        path_file = base / "path.json"
+        path_file.write_text('{"mobile": "a3", "waypoints": [[1.0, 2.0], [1.2, 2.2]], "steps": %s}' % steps)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["integrate", "--input", config_path, "--path", str(path_file)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith("steps must be at most 2**24")
 
     @pytest.mark.parametrize("steps", ["50", "50.0", "5e1"])
     def test_integral_steps_accepted(self, workdir, capsys, steps):

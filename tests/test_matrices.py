@@ -524,6 +524,82 @@ class TestScalingBand:
             symmetric_eigendecomposition(SquareMatrix.from_rows(rows))
 
 
+class TestStackRotations:
+    """The in-place pair updates: lanes that skip a rotation and converge apart keep their bits."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_sparse_stacks(self, n):
+        # At range 3 many pairs are unlinked, so a first-sweep rotation is
+        # skipped by some lanes and applied by others, and the slices need
+        # different sweep counts; with and without eigenvectors.
+        one_pair = np.diag(np.arange(1.0, n + 1.0))
+        one_pair[0, 1] = one_pair[1, 0] = 0.5
+        stack = np.concatenate([zone_stack(n + 50, n, cells=12, comm_range=3.0), one_pair[None]])
+        iu, ju = np.triu_indices(n, 1)
+        zero = stack[:, iu, ju] == 0.0
+        assert (zero.any(axis=0) & ~zero.all(axis=0)).any()
+        assert len({sweeps_needed(m) for m in stack}) >= 2
+        assert_rows_match_single_solves(stack)
+
+
+class TestSingleValuesRoute:
+    """One matrix, values only: Python floats in and out, the array route's bytes."""
+
+    @staticmethod
+    def assert_route_matches(sym):
+        # The eigenvector route sorts with the arrays' stable argsort.
+        want = _eigh_stack(sym[None], vectors=True)[0]
+        values, none = _eigh_stack(sym[None])
+        listed, also_none = _eigh_stack([sym.tolist()])
+        assert none is None and also_none is None
+        assert all(type(x) is float for x in listed[0])
+        # tobytes also tells -0.0 from 0.0.
+        assert values.tobytes() == want.tobytes() == np.array(listed).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    def test_zero_matrices(self, n):
+        self.assert_route_matches(np.zeros((n, n)))
+        self.assert_route_matches(np.full((n, n), -0.0))
+
+    @pytest.mark.parametrize(
+        "diag", [[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, -0.0], [-0.0, 0.0] * 3, [1.0, -0.0, 0.0, -1.0, 0.0, -0.0]]
+    )
+    def test_signed_zero_ties_keep_the_stable_order(self, diag):
+        sym = np.diag(diag)
+        self.assert_route_matches(sym)
+        assert _eigh_stack(sym[None])[0][0].tobytes() == np.sort(np.array(diag), kind="stable").tobytes()
+
+    def test_signed_zeros_beside_a_rotated_pair(self):
+        # The pair's eigenvalue 0 comes out of the sweeps, beside an exact -0.0 and 0.0.
+        sym = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        self.assert_route_matches(sym)
+        # Order 8 takes the list loops.
+        self.assert_route_matches(np.kron(np.eye(2), sym))
+
+    @pytest.mark.parametrize(
+        "scale",
+        [2.0**400, 2.0**-400, np.nextafter(2.0**400, np.inf), np.nextafter(2.0**-400, 0.0), 2.0**401, 1e-250, 1e200],
+    )
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_band_edges_and_scaled_matrices(self, scale, n):
+        b = random_symmetric(60 + n, n).entries
+        b = b / np.abs(b).max()
+        assert np.abs(b * scale).max() == scale
+        self.assert_route_matches(b * scale)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_sweep_cap_message_through_every_route(self, monkeypatch, n):
+        dense = random_symmetric(11, n).entries
+        monkeypatch.setattr(matrices, "_MAX_SWEEPS", 1)
+        message = f"^no convergence after 1 sweeps \\(order {n}\\)$"
+        with pytest.raises(ConvergenceError, match=message):
+            _eigh_stack([dense.tolist()])
+        for stack in (dense[None], np.array([dense, np.diag(np.arange(float(n))), dense[::-1, ::-1]])):
+            for vectors in (False, True):
+                with pytest.raises(ConvergenceError, match=message):
+                    _eigh_stack(stack, vectors)
+
+
 class TestPermutationMatrix:
     def test_reversal_matches_reference(self):
         j1 = permutation_matrix((3, 2, 1, 0))

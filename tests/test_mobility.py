@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -435,8 +436,17 @@ class TestIntegrateConnectivityChange:
     @pytest.mark.parametrize("steps", [2**62, 10**30])
     def test_step_count_beyond_int64_indexing(self, steps):
         config = make_config([(0.0, 0.0), (1.0, 0.0)])
-        with pytest.raises(ValueError, match="below 2\\*\\*62"):
+        with pytest.raises(ValueError, match="at most 2\\*\\*24"):
             integrate_connectivity_change(config, 0, [(0.0, 0.0), (1.0, 1.0)], steps)
+
+    @pytest.mark.parametrize("steps", [2**24 + 1, 10**18, 1e18])
+    def test_huge_step_counts_are_refused_at_once(self, steps):
+        # 1e18 steps used to run until killed.
+        config = make_config([(0.0, 0.0), (1.0, 0.0)])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^steps must be at most 2\\*\\*24, got {int(steps)}$"):
+            integrate_connectivity_change(config, 0, [(0.0, 0.0), (1.0, 1.0)], steps)
+        assert time.perf_counter() - start < 1.0
 
     def test_json_shape(self):
         rng = np.random.default_rng(6)

@@ -1,4 +1,4 @@
-"""One tolerance rule, one agent-index rule and one link rule across the public functions."""
+"""One tolerance rule, one integer rule and one link rule across the public functions."""
 
 import math
 
@@ -28,7 +28,9 @@ from isoconn import (
     iso_connectivity_zone,
     laplacian_motion_derivative,
     mirror_moves,
+    permutation_family,
     permutation_matrix,
+    relabel_configuration,
     similarity_transform,
     symmetric_eigendecomposition,
     validate_iso_transform,
@@ -158,6 +160,61 @@ INDEX_CALLS = {
 def test_agent_index_out_of_range(name, index):
     with pytest.raises(IndexError, match=f"^agent index {index} out of range for order 3$"):
         INDEX_CALLS[name](index)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CALLS))
+@pytest.mark.parametrize("index", [True, 1.5, "1", None, math.nan])
+def test_agent_index_must_be_an_integer(name, index):
+    # A bool used to run as agent 1, a float leaked numpy's indexing error and
+    # iso_connectivity_zone leaked np.delete's ValueError.
+    with pytest.raises(ValueError, match="^agent index must be an integer, got "):
+        INDEX_CALLS[name](index)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_CALLS))
+def test_integral_agent_indices_name_the_agent(name):
+    want = repr(INDEX_CALLS[name](1))
+    for index in (1.0, np.int64(1), np.uint8(1)):
+        assert repr(INDEX_CALLS[name](index)) == want
+
+
+@pytest.mark.parametrize("perm", [[0.5, 1, 2], [1, True, 2], ["1", 0, 2], [2, 0, 1.25]])
+def test_permutation_entries_must_be_integers(perm):
+    # 0.5 used to truncate to 0, relabelling by the identity.
+    for call in (permutation_matrix, lambda p: relabel_configuration(CONFIG, p)):
+        with pytest.raises(ValueError, match="^permutation entry must be an integer, got "):
+            call(perm)
+
+
+def test_integral_permutation_entries():
+    want = relabel_configuration(CONFIG, [2, 0, 1])
+    for perm in ([2.0, 0.0, 1.0], np.array([2, 0, 1]), (np.int32(2), 0, 1)):
+        assert relabel_configuration(CONFIG, perm) == want
+        assert permutation_matrix(perm).equals(permutation_matrix([2, 0, 1]))
+
+
+COUNT_CALLS = {
+    "steps": lambda k: integrate_connectivity_change(CONFIG, 2, [(1.0, 2.0), (1.5, 2.0)], k),
+    "limit": lambda k: permutation_family(build_laplacian(CONFIG), limit=k),
+    "nx": lambda k: GridSpec(0.0, 1.0, 0.0, 1.0, k, 1),
+    "ny": lambda k: GridSpec(0.0, 1.0, 0.0, 1.0, 1, k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+@pytest.mark.parametrize("count", [2.5, True, "2", math.inf, math.nan])
+def test_counts_must_be_integers(name, count):
+    # limit=2.5 used to return every relabelling, steps=10.5 and steps=True
+    # ran, and a fractional nx raised a bare TypeError mid-scan.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        COUNT_CALLS[name](count)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+def test_integral_counts(name):
+    want = repr(COUNT_CALLS[name](2))
+    for count in (2.0, np.int64(2)):
+        assert repr(COUNT_CALLS[name](count)) == want
 
 
 # Where two distance formulas would disagree: agent 1 exactly at the range by
