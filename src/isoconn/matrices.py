@@ -4,6 +4,8 @@ Matrices here are desk-scale (orders up to a few hundred), so storage is a plain
 float64 ndarray and the eigensolver is a cyclic Jacobi sweep.  Jacobi was chosen
 over a library call because it makes results reproducible to the bit across runs:
 fixed sweep order, fixed rotation choice, fixed eigenvector sign convention.
+Arrays are solved by ``_eigh_stack``, one matrix as nested lists of floats by
+``_list_eigenvalues``; ``_scalar_kernel`` picks the kernel for a single matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +47,18 @@ _SCALE_BAND = 2.0 ** 400
 # come from dense-family sweeps, which are order 4, while a CLI run that
 # solves one matrix of order 5-8 would pay the larger compiles for nothing.
 _UNROLLED_MAX_ORDER = 4
+
+
+def _scalar_kernel(n: int, vectors: bool):
+    """The kernel for one matrix of order ``n``: nested lists of floats -> (diagonal, eigenvector rows or None).
+
+    Scalar loops beat a stack of one in ``_jacobi_stack`` at every order measured
+    (geometric Laplacians with eigenvectors, 2-CPU x86-64: 0.059 vs 1.9 ms at n=4,
+    0.41 vs 0.55 s at n=64).  Without ``vectors`` the eigenvalues keep their bits.
+    """
+    if n <= _UNROLLED_MAX_ORDER:
+        return _unrolled_kernel(n, vectors)
+    return functools.partial(_jacobi_lists, vectors=vectors)
 
 
 def _as_int(value, name: str) -> int:
@@ -131,7 +145,7 @@ class SpectralDecomposition:
 
 @functools.cache
 def _unrolled_kernel(n: int, vectors: bool):
-    """``_jacobi_python`` for order ``n`` with every loop written out, compiled once.
+    """``_jacobi_lists`` for order ``n`` with every loop written out, compiled once.
 
     Each matrix entry ``a[i][j]`` and eigenvector entry ``v[i][j]`` is a local
     ``ai_j``/``vi_j``, and each sweep lists its (p, q) rotations in the cyclic
@@ -190,31 +204,8 @@ def _unrolled_kernel(n: int, vectors: bool):
     return namespace["kernel"]
 
 
-def _jacobi_python(sym, vectors: bool) -> tuple:
-    # Scalar loops on nested lists: one matrix solves faster this way than as a
-    # stack of one in _jacobi_stack at every order measured (medians of
-    # repeated solves of a geometric Laplacian with eigenvectors, 2-CPU x86-64:
-    # 0.059 vs 1.9 ms at n=4, 6.3 vs 39 ms at n=16, 0.41 vs 0.55 s at n=64).
-    # Orders up to _UNROLLED_MAX_ORDER run the same arithmetic written out in
-    # full, with no subscripts or inner loops.  The eigenvector rotations never
-    # feed back into ``a``, so skipping them leaves the eigenvalues' bits
-    # alone.  ``sym`` is an ndarray, or nested lists of floats from
-    # _eigh_stack's single values-only route; the diagonal and the eigenvector
-    # rows come back as ndarrays or as lists to match.
-    as_array = isinstance(sym, np.ndarray)
-    rows = sym.tolist() if as_array else sym
-    n = len(rows)
-    if n <= _UNROLLED_MAX_ORDER:
-        w, v = _unrolled_kernel(n, vectors)(rows)
-    else:
-        w, v = _jacobi_lists(rows, vectors)
-    if not as_array:
-        return w, v
-    return np.array(w), None if v is None else np.array(v)
-
-
 def _jacobi_lists(rows: list, vectors: bool) -> tuple[list, list | None]:
-    """``_jacobi_python``'s sweeps as list loops, for orders above ``_UNROLLED_MAX_ORDER``."""
+    """The scalar Jacobi sweeps as list loops, for orders above ``_UNROLLED_MAX_ORDER``."""
     sqrt = math.sqrt
     n = len(rows)
     a = [list(row) for row in rows]
@@ -277,7 +268,7 @@ def _stack_slices(n: int, vectors: bool) -> int:
 
 
 def _jacobi_stack(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    # ``_jacobi_python`` elementwise over the slices of a (G, n, n) stack:
+    # ``_jacobi_lists`` elementwise over the slices of a (G, n, n) stack:
     # returns the unsorted diagonals (G, n) and, with ``vectors``, the
     # transposed eigenvector matrices (G, n, n).
     g_count, n = stack.shape[0], stack.shape[-1]
@@ -338,7 +329,7 @@ def _jacobi_stack(stack: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndar
                     # values, never rotated by the identity (which could flip
                     # the sign of a zero).
                     where = rot if rotated < lanes else True
-                    # _jacobi_python's rotation, elementwise.
+                    # _jacobi_lists's rotation, elementwise.
                     theta = (a[q, q] - a[p, p]) / (2.0 * apq)
                     mag = np.abs(theta)
                     t = np.where(theta >= 0.0, 1.0, -1.0) / (mag + np.sqrt(theta * theta + 1.0))
@@ -385,44 +376,29 @@ def _band_exponents(stack: np.ndarray) -> np.ndarray | None:
     return np.where(outside, np.frexp(mags)[1], 0)
 
 
-def _eigh_stack(stack, vectors: bool = False) -> tuple:
-    """Eigensystems of every slice of a (G, n, n) stack of exactly symmetric matrices.
+def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigensystems of every slice of a (G, n, n) ndarray of exactly symmetric matrices.
 
-    The one entry point to the eigensolver.  Returns ascending eigenvalues as a
-    (G, n) array and, when ``vectors`` is true, the sign-fixed eigenvectors as
-    a (G, n, n) array (None otherwise); ``vectors[g][:, i]`` pairs with
-    ``values[g, i]`` and each slice is column-major.  For values only,
-    ``stack`` may also be a list holding one matrix as nested lists of floats;
-    its values then come back as a list holding one ascending list.
+    Returns ascending eigenvalues as a (G, n) array and, when ``vectors`` is
+    true, the sign-fixed eigenvectors as a (G, n, n) array (None otherwise);
+    ``vectors[g][:, i]`` pairs with ``values[g, i]``, column-major per slice.
 
-    A stack of one runs the scalar ``_jacobi_python`` sweeps, a larger stack
-    runs ``_jacobi_stack``, which repeats the scalar sums, pair order and
-    rotations elementwise, drops a slice once it converges and keeps a slice's
-    values by selection, never by an identity rotation (which could flip the
-    sign of a zero), where its (p, q) entry is exactly zero.  Either way slice
-    g is bit-identical to the solve of ``stack[g]`` alone.  Slices outside the
-    scaling band are solved scaled by a power of two and their eigenvalues
-    unscaled; a spectrum that then overflows float64 raises NonFiniteError.
+    A stack of one runs the scalar kernel ``_scalar_kernel`` picks for its
+    order, a larger stack runs ``_jacobi_stack``, which repeats the scalar
+    sums, pair order and rotations elementwise, drops a slice once it
+    converges and keeps a slice's values by selection, never by an identity
+    rotation (which could flip the sign of a zero), where its (p, q) entry is
+    exactly zero.  Either way slice g is bit-identical to the solve of
+    ``stack[g]`` alone.  Slices outside the scaling band are solved scaled by
+    a power of two and their eigenvalues unscaled; a spectrum that then
+    overflows float64 raises NonFiniteError.
     """
-    if not vectors and len(stack) == 1:
-        # One matrix, values only: Python floats from the band test to the
-        # sort, since numpy calls on n * n numbers cost as much as the sweeps
-        # at small orders.  The sort is stable like the arrays' below, so
-        # equal values (0.0 and -0.0) keep the order the sweeps give them.
-        as_array = isinstance(stack, np.ndarray)
-        rows = stack[0].tolist() if as_array else stack[0]
-        mag = max(map(abs, chain.from_iterable(rows)))
-        if mag <= _SCALE_BAND and not 0.0 < mag < 1.0 / _SCALE_BAND:
-            values = [sorted(_jacobi_python(rows, False)[0])]
-            return (np.array(values) if as_array else values), None
-        if not as_array:
-            return _eigh_stack(np.array(stack, dtype=float))[0].tolist(), None
     exps = _band_exponents(stack)
     if exps is not None:
         stack = np.ldexp(stack, -exps[:, None, None])
     if stack.shape[0] == 1:
-        w, v = _jacobi_python(stack[0], vectors)
-        values, vt = w[None], None if v is None else v.T[None]
+        w, v = _scalar_kernel(stack.shape[1], vectors)(stack[0].tolist())
+        values, vt = np.array([w]), None if v is None else np.array(v).T[None]
     else:
         values, vt = _jacobi_stack(stack, vectors)
     if exps is not None:
@@ -450,6 +426,20 @@ def _eigh_stack(stack, vectors: bool = False) -> tuple:
     # Column-major per slice, so that a product with a contiguous column
     # rounds the same whichever kernel solved the slice.
     return values, vt.transpose(0, 2, 1)
+
+
+def _list_eigenvalues(rows: list[list[float]]) -> list[float]:
+    """``_eigh_stack``'s ascending eigenvalues, bit for bit, of one symmetric matrix as nested lists of floats.
+
+    In the scaling band it builds no array, since numpy calls on n * n numbers
+    cost as much as the sweeps at small orders; ``sorted`` is stable like the
+    arrays' sort, so 0.0 and -0.0 keep the sweeps' order.  Out of band the
+    rows are solved as an array.
+    """
+    mag = max(map(abs, chain.from_iterable(rows)))
+    if mag <= _SCALE_BAND and not 0.0 < mag < 1.0 / _SCALE_BAND:
+        return sorted(_scalar_kernel(len(rows), False)(rows)[0])
+    return _eigh_stack(np.array([rows]))[0][0].tolist()
 
 
 def _check_tol(tol: float) -> None:

@@ -133,15 +133,24 @@ def laplacian_motion_derivative(
 
     Differentiates the in-range exponential weights analytically; out-of-range
     links contribute zero.  At the range boundary itself the in-range branch is
-    used (the model is one-sided there).
+    used (the model is one-sided there).  ``direction`` must be two finite
+    numbers, not both zero.
     """
     pos = config.positions()
     mobile = _check_agent(mobile, len(config.agents))
-    u = np.asarray(direction, dtype=float)
-    norm = float(np.hypot(u[0], u[1]))
-    if norm == 0.0:
+    try:
+        u = np.asarray(direction, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        u = None
+    if u is None or u.shape != (2,) or not np.isfinite(u).all():
+        raise ValueError("direction must be two finite numbers")
+    big = float(np.abs(u).max())
+    if big == 0.0:
         raise ValueError("direction must be nonzero")
-    u = u / norm
+    # A power of two scales hypot exactly; needed only where it overflows or rounds a subnormal.
+    if not 2.0**-1021 <= big <= 2.0**1021:
+        u = np.ldexp(u, -math.frexp(big)[1])
+    u = u / float(np.hypot(u[0], u[1]))
     linked = _moved_laplacians(pos, mobile, pos[[mobile]], config.sigma, config.comm_range)[:, mobile] < 0.0
     rate = config.sigma / config.comm_range
     return SquareMatrix(_motion_derivative_stack(pos, mobile, pos[[mobile]], u[None], linked, rate)[0])

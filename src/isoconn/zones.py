@@ -19,37 +19,35 @@ from .errors import (
     NonFiniteError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _stack_slices
+from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _list_eigenvalues, _stack_slices
 from .topology import AgentConfiguration, _check_agent, _moved_laplacians
 
 TARGET_CONNECTIVITY = 4.0
 
 
-def _check_parameters(alpha: float, beta: float) -> None:
+def _check_parameters(alpha: float, beta: float) -> tuple[float, float]:
+    """The parameters as Python floats once positive: numpy scalars then compute in float64."""
     if not (alpha > 0 and beta > 0):
         raise NonPositiveParameterError(f"parameters must be positive, got ({alpha}, {beta})")
+    try:
+        return float(alpha), float(beta)
+    except OverflowError:
+        raise NonFiniteError("parameters overflow float64") from None
 
 
 def _dense_family_entries(alpha: float, beta: float) -> list[list[float]]:
-    """The family's rows as nested lists of floats, the form a single solve takes.
-
-    Each entry is converted as ``np.array`` would convert it, so an int or a
-    float32 parameter gives the bits of the matrix's own entries.
-    """
-    d_alpha, d_beta, d_mobile = float(2.0 + alpha), float(2.0 + beta), float(1.0 + alpha + beta)
-    w_alpha, w_beta = float(-alpha), float(-beta)
+    """The family's rows as nested lists of floats, the form ``_list_eigenvalues`` takes."""
     return [
-        [d_alpha, -1.0, -1.0, w_alpha],
-        [-1.0, d_beta, -1.0, w_beta],
+        [2.0 + alpha, -1.0, -1.0, -alpha],
+        [-1.0, 2.0 + beta, -1.0, -beta],
         [-1.0, -1.0, 3.0, -1.0],
-        [w_alpha, w_beta, -1.0, d_mobile],
+        [-alpha, -beta, -1.0, 1.0 + alpha + beta],
     ]
 
 
 def dense_family_laplacian(alpha: float, beta: float) -> SquareMatrix:
     """The four-agent complete-graph Laplacian with variable weights alpha, beta."""
-    _check_parameters(alpha, beta)
-    return SquareMatrix(_dense_family_entries(alpha, beta))
+    return SquareMatrix(_dense_family_entries(*_check_parameters(alpha, beta)))
 
 
 def _discriminant(alpha: float, beta: float) -> float:
@@ -66,7 +64,7 @@ def _discriminant(alpha: float, beta: float) -> float:
 
 def dense_family_spectrum(alpha: float, beta: float) -> tuple[float, float, float, float]:
     """Closed-form spectrum of the family: {0, 4, 2+a+b +/- sqrt(disc)} ascending."""
-    _check_parameters(alpha, beta)
+    alpha, beta = _check_parameters(alpha, beta)
     root = math.sqrt(_discriminant(alpha, beta))
     values = sorted([0.0, 4.0, 2.0 + alpha + beta - root, 2.0 + alpha + beta + root])
     return tuple(values)
@@ -115,12 +113,12 @@ def _validity_check(
 ) -> ValidityCheck:
     """``dense_family_validity``, with lambda2 from the caller's own solve if given."""
     _check_tol(tol)
-    _check_parameters(alpha, beta)
+    alpha, beta = _check_parameters(alpha, beta)
     root = math.sqrt(_discriminant(alpha, beta))
     inequality_holds = 2.0 + alpha + beta + root > 4.0
     if lambda2 is None:
         # Finite entries: the discriminant would have overflowed first.
-        lambda2 = _eigh_stack([_dense_family_entries(alpha, beta)])[0][0][1]
+        lambda2 = _list_eigenvalues(_dense_family_entries(alpha, beta))[1]
     return ValidityCheck(inequality_holds, lambda2, abs(lambda2 - TARGET_CONNECTIVITY) <= tol)
 
 

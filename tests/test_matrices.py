@@ -21,7 +21,7 @@ from isoconn import (
     validate_iso_transform,
 )
 from isoconn import matrices
-from isoconn.matrices import _eigh_stack
+from isoconn.matrices import _eigh_stack, _list_eigenvalues
 from isoconn.topology import _laplacian_from_positions
 from conftest import K4_ROWS, L1_ROWS, L1_SPECTRUM, L4P_ROWS, L4P_SPECTRUM, PATH4_ROWS, _eigh_core, geometric_config
 from conftest import _jacobi_python as frozen_jacobi
@@ -31,6 +31,12 @@ def random_symmetric(seed, n, lo=-10.0, hi=10.0):
     rng = np.random.default_rng(seed)
     m = rng.uniform(lo, hi, size=(n, n))
     return SquareMatrix(0.5 * (m + m.T))
+
+
+def scalar_solve(sym, vectors):
+    """The kernel ``_scalar_kernel`` picks for ``sym``, run on its rows: diagonal and eigenvector rows as arrays."""
+    w, v = matrices._scalar_kernel(len(sym), vectors)(sym.tolist())
+    return np.array(w), None if v is None else np.array(v)
 
 
 def charpoly_roots(rows):
@@ -175,9 +181,9 @@ class TestValuesOnlySolves:
 
     @staticmethod
     def assert_same_values(sym):
-        values, none = matrices._jacobi_python(sym, vectors=False)
+        values, none = scalar_solve(sym, vectors=False)
         assert none is None
-        assert values.tobytes() == matrices._jacobi_python(sym, vectors=True)[0].tobytes()
+        assert values.tobytes() == scalar_solve(sym, vectors=True)[0].tobytes()
 
     @pytest.mark.parametrize("n", range(2, 33))
     def test_geometric_laplacians(self, n):
@@ -280,7 +286,7 @@ class TestScalarKernelMatchesFrozenReference:
     @staticmethod
     def assert_same_bytes(sym):
         for vectors in (False, True):
-            w, v = matrices._jacobi_python(sym, vectors)
+            w, v = scalar_solve(sym, vectors)
             ref_w, ref_v = frozen_jacobi(sym, vectors)
             # tobytes also tells -0.0 from 0.0.
             assert w.tobytes() == ref_w.tobytes()
@@ -332,7 +338,7 @@ class TestUnrolledKernel:
             with pytest.raises(ConvergenceError) as frozen:
                 frozen_jacobi(dense, vectors)
             with pytest.raises(ConvergenceError) as live:
-                matrices._jacobi_python(dense, vectors)
+                scalar_solve(dense, vectors)
             assert str(live.value) == str(frozen.value) == "no convergence after 1 sweeps (order 4)"
 
     def test_each_kernel_compiles_once(self, monkeypatch):
@@ -347,7 +353,7 @@ class TestUnrolledKernel:
         for _ in range(3):
             for n in range(1, matrices._UNROLLED_MAX_ORDER + 1):
                 for vectors in (False, True):
-                    matrices._jacobi_python(random_symmetric(n, n).entries, vectors)
+                    scalar_solve(random_symmetric(n, n).entries, vectors)
         # One values-only and one eigenvector kernel per order.
         assert sorted(compiled) == sorted(
             f"<jacobi order {n}>" for n in range(1, matrices._UNROLLED_MAX_ORDER + 1) for _ in range(2)
@@ -543,18 +549,18 @@ class TestStackRotations:
 
 
 class TestSingleValuesRoute:
-    """One matrix, values only: Python floats in and out, the array route's bytes."""
+    """``_list_eigenvalues``: Python floats in and out, the array route's bytes."""
 
     @staticmethod
     def assert_route_matches(sym):
         # The eigenvector route sorts with the arrays' stable argsort.
         want = _eigh_stack(sym[None], vectors=True)[0]
         values, none = _eigh_stack(sym[None])
-        listed, also_none = _eigh_stack([sym.tolist()])
-        assert none is None and also_none is None
-        assert all(type(x) is float for x in listed[0])
+        listed = _list_eigenvalues(sym.tolist())
+        assert none is None
+        assert all(type(x) is float for x in listed)
         # tobytes also tells -0.0 from 0.0.
-        assert values.tobytes() == want.tobytes() == np.array(listed).tobytes()
+        assert values.tobytes() == want.tobytes() == np.array([listed]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
     def test_zero_matrices(self, n):
@@ -593,11 +599,61 @@ class TestSingleValuesRoute:
         monkeypatch.setattr(matrices, "_MAX_SWEEPS", 1)
         message = f"^no convergence after 1 sweeps \\(order {n}\\)$"
         with pytest.raises(ConvergenceError, match=message):
-            _eigh_stack([dense.tolist()])
+            _list_eigenvalues(dense.tolist())
         for stack in (dense[None], np.array([dense, np.diag(np.arange(float(n))), dense[::-1, ::-1]])):
             for vectors in (False, True):
                 with pytest.raises(ConvergenceError, match=message):
                     _eigh_stack(stack, vectors)
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The kernels run, in order: "unrolled", "lists" or "stack", one entry per solve."""
+    runs = []
+    unrolled, lists, stacked = matrices._unrolled_kernel, matrices._jacobi_lists, matrices._jacobi_stack
+
+    def recording(name, kernel):
+        def run(*args, **kwargs):
+            runs.append(name)
+            return kernel(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(matrices, "_unrolled_kernel", lambda n, vectors: recording("unrolled", unrolled(n, vectors)))
+    monkeypatch.setattr(matrices, "_jacobi_lists", recording("lists", lists))
+    monkeypatch.setattr(matrices, "_jacobi_stack", recording("stack", stacked))
+    return runs
+
+
+CHOICE_ORDERS = [*range(1, matrices._UNROLLED_MAX_ORDER + 2), 8, 17]
+
+
+def single_kernel(n):
+    return "unrolled" if n <= matrices._UNROLLED_MAX_ORDER else "lists"
+
+
+class TestKernelChoice:
+    """Which kernel a solve runs: a stack of one by its order, a larger stack vectorised; once per call."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**401])
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("slices", [1, 2])
+    @pytest.mark.parametrize("n", CHOICE_ORDERS)
+    def test_eigh_stack(self, kernel_runs, n, slices, vectors, scale):
+        stack = np.array([random_symmetric(70 + g, n).entries * scale for g in range(slices)])
+        assert (matrices._band_exponents(stack) is None) == (scale == 1.0)
+        _eigh_stack(stack, vectors)
+        assert kernel_runs == [single_kernel(n) if slices == 1 else "stack"]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**401])
+    @pytest.mark.parametrize("n", CHOICE_ORDERS)
+    def test_list_eigenvalues(self, kernel_runs, monkeypatch, n, scale):
+        # In band the rows go straight to the kernel; out of band through _eigh_stack.
+        arrays = []
+        monkeypatch.setattr(matrices, "_eigh_stack", lambda stack: arrays.append(stack) or _eigh_stack(stack))
+        _list_eigenvalues((random_symmetric(80, n).entries * scale).tolist())
+        assert kernel_runs == [single_kernel(n)]
+        assert len(arrays) == (scale != 1.0)
 
 
 class TestPermutationMatrix:

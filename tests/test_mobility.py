@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,34 @@ class TestMotionDerivativeStack:
             want = [reference_derivative(config, mobile, (1.0, -3.0)) for mobile in range(3)]
         assert [d.tobytes() for d in got] == [d.tobytes() for d in want]
         assert got[0][0, 1] != 0.0 and got[0][0, 2] == 0.0
+
+
+class TestMotionDirection:
+    """``direction``: two finite numbers, not both zero, normalised without losing bits."""
+
+    def test_power_of_two_multiples_keep_the_unit_bits(self):
+        config = make_config([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)], comm_range=3.0)
+        want = laplacian_motion_derivative(config, 1, (1.0, 1.0)).entries.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-1074, 1024):
+                x = math.ldexp(1.0, k)
+                assert laplacian_motion_derivative(config, 1, (x, x)).entries.tobytes() == want, k
+
+    @pytest.mark.parametrize(
+        "direction", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (1.0,), (1.0, 0.0, 5.0), (), "12", None, (10**400, 1)]
+    )
+    def test_bad_directions_name_direction(self, direction):
+        config = make_config([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)], comm_range=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="direction must be two finite numbers"):
+                laplacian_motion_derivative(config, 1, direction)
+
+    def test_zero_direction(self):
+        config = make_config([(0.0, 0.0), (1.0, 0.5)], comm_range=3.0)
+        with pytest.raises(ValueError, match="direction must be nonzero"):
+            laplacian_motion_derivative(config, 1, (0.0, -0.0))
 
 
 class TestMirrorMoves:

@@ -1,11 +1,10 @@
 """Eigensolves per public call: each Laplacian is solved once per call.
 
-Every solve goes through ``matrices._eigh_stack``, which runs the scalar
-``_jacobi_python`` for a stack of one matrix and the vectorised
-``_jacobi_stack`` for more.  ``_jacobi_python`` hands orders up to
-``_UNROLLED_MAX_ORDER`` to a kernel generated for their order, but every
-single solve still enters through it.  These tests count the calls to the
-two entry kernels.
+A solve of one matrix, a stack of one in ``matrices._eigh_stack`` or nested
+lists in ``_list_eigenvalues``, runs the scalar kernel that
+``_scalar_kernel`` picks for its order, once per solve; a larger stack runs
+the vectorised ``_jacobi_stack``.  These tests count the kernel choices and
+the stacked solves.
 """
 
 import json
@@ -36,18 +35,18 @@ from conftest import L1_ROWS, L2_ROWS, geometric_config
 def solves(monkeypatch):
     """Counts of scalar solves, stacked solves and the slices in those stacks."""
     counts = {"scalar": 0, "stacks": 0, "slices": 0}
-    scalar, stacked = matrices._jacobi_python, matrices._jacobi_stack
+    scalar, stacked = matrices._scalar_kernel, matrices._jacobi_stack
 
-    def count_scalar(sym, vectors):
+    def count_scalar(n, vectors):
         counts["scalar"] += 1
-        return scalar(sym, vectors)
+        return scalar(n, vectors)
 
     def count_stacked(stack, vectors):
         counts["stacks"] += 1
         counts["slices"] += stack.shape[0]
         return stacked(stack, vectors)
 
-    monkeypatch.setattr(matrices, "_jacobi_python", count_scalar)
+    monkeypatch.setattr(matrices, "_scalar_kernel", count_scalar)
     monkeypatch.setattr(matrices, "_jacobi_stack", count_stacked)
     return counts
 

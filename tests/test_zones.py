@@ -142,6 +142,46 @@ class TestDenseFamilyValidity:
         )
 
 
+class TestParametersAsFloats:
+    """Parameters become Python floats once, after the positivity check."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_numpy_parameters_compute_in_float64(self, dtype):
+        alpha, beta = dtype(0.7), dtype(2.3)
+        check = dense_family_validity(alpha, beta)
+        assert check == dense_family_validity(float(alpha), float(beta))
+        assert type(check.inequality_holds) is bool and type(check.lambda2) is float
+        json.dumps(check.to_json_dict())
+        spectrum = dense_family_spectrum(alpha, beta)
+        assert all(type(x) is float for x in spectrum)
+        assert spectrum == dense_family_spectrum(float(alpha), float(beta))
+        assert dense_family_laplacian(alpha, beta).equals(dense_family_laplacian(float(alpha), float(beta)))
+
+    def test_int_parameters_keep_the_float_bits(self):
+        for alpha, beta in ((2, 3), (2**60 + 1, 1), (True, 2)):
+            assert dense_family_validity(alpha, beta) == dense_family_validity(float(alpha), float(beta))
+
+    @pytest.mark.parametrize("call", [dense_family_laplacian, dense_family_spectrum, dense_family_validity])
+    def test_int_beyond_float64_is_non_finite(self, call):
+        for alpha, beta in ((10**400, 1), (1, 10**400)):
+            with pytest.raises(NonFiniteError, match="parameters overflow float64"):
+                call(alpha, beta)
+
+    def test_strings_still_fail_the_positivity_check(self):
+        with pytest.raises(TypeError):
+            dense_family_validity("2", 3.0)
+
+    def test_dense_point_builds_no_array(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} used")
+
+        want = dense_family_validity(2.0, 0.5)
+        monkeypatch.setattr(matrices, "np", NoNumpy())
+        monkeypatch.setattr(zones, "np", NoNumpy())
+        assert dense_family_validity(2.0, 0.5) == want
+
+
 class TestFixedEigenvectors:
     def test_directions_for_levels_zero_and_four(self):
         ones = np.ones(4) / 2.0
