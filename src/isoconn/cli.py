@@ -221,7 +221,7 @@ def _cmd_isospectral(args):
     a, b = _load_matrix(paths[0]), _load_matrix(paths[1])
     wa, wb = _symmetric_eigenvalues(a), _symmetric_eigenvalues(b)
     return {
-        "isospectral": _spectra_agree(wa, wb, args.tol),
+        "isospectral": _spectra_agree(a, b, wa, wb, args.tol),
         "tol": args.tol,
         "spectra": [[float(x) for x in wa], [float(x) for x in wb]],
     }

@@ -450,14 +450,21 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite, got {tol}")
 
 
+def _entry_scale(a: np.ndarray, axis: tuple[int, ...] | None = None) -> np.ndarray | float:
+    """``max(1, largest |entry|)`` of ``a``, or of each slice over ``axis``: the scale of every tolerance."""
+    return np.maximum(1.0, np.abs(a).max(axis=axis))
+
+
 def _tol_scale(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     """The scale of every tolerance on a matrix: ``a`` and ``scale`` times 2**-shift, and ``shift``.
 
     A check of ``a`` at ``tol`` passes residuals up to ``tol * scale``, where
-    ``scale = max(1, largest |entry|)``.  Above 2^1000 the returned scale is in
-    [1, 2), so residual sums and ``tol * scale`` stay finite; else ``shift`` is 0.
+    ``scale = _entry_scale(a)``; a decision on its spectrum passes gaps or
+    differences of eigenvalues up to the same bound.  Above 2^1000 the
+    returned scale is in [1, 2), so residual sums and ``tol * scale`` stay
+    finite; else ``shift`` is 0.
     """
-    scale = max(1.0, float(np.abs(a).max()))
+    scale = float(_entry_scale(a))
     shift = math.frexp(scale)[1] - 1 if scale > 2.0**1000 else 0
     return np.ldexp(a, -shift), math.ldexp(scale, -shift), shift
 

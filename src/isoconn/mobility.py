@@ -22,8 +22,8 @@ from .errors import (
     NotLaplacianError,
     OrderTooSmallError,
 )
-from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _stack_slices, _tol_scale
-from .spectral import algebraic_connectivity, fiedler_gap, fiedler_is_simple
+from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _entry_scale, _stack_slices, _tol_scale
+from .spectral import algebraic_connectivity, fiedler_gap
 from .topology import AgentConfiguration, _check_agent, _distances, _moved_laplacians, validate_laplacian
 
 
@@ -98,9 +98,10 @@ def connectivity_differential(
 
     The variation must be a valid Laplacian variation: symmetric with rows
     summing to zero within ``tol`` (positive and finite, relative to its
-    largest entry).  Refuses a repeated second eigenvalue, where the
-    differential is not well defined, and raises NonFiniteError when the
-    quadratic form overflows float64.
+    largest entry).  Refuses a ``degenerate`` connectivity report (a repeated
+    second eigenvalue, or a disconnected graph), where the differential is not
+    well defined, and raises NonFiniteError when the quadratic form overflows
+    float64.
     """
     _check_tol(tol)
     if laplacian.order != variation.order:
@@ -115,7 +116,7 @@ def connectivity_differential(
     if not row_sum <= tol * scale:
         raise InvalidVariationError("variation rows do not sum to zero")
     report = algebraic_connectivity(laplacian)
-    if not fiedler_is_simple(report):
+    if report.degenerate:
         raise DegenerateFiedlerError("second eigenvalue is repeated; differential undefined")
     v = report.fiedler
     value = float(v @ d @ v) * 2.0**shift
@@ -331,10 +332,11 @@ def integrate_connectivity_change(
 
     ``steps`` midpoint evaluations, an integer from 1 to 2**24, are spread
     over the segments by length; the direct endpoint difference is returned
-    alongside for comparison.  Aborts if the gap isolating the second
-    eigenvalue drops below ``gap_tol`` anywhere along the path (checked at the
-    start, then the end, then the midpoints in path order), and warns if any
-    link crosses the range boundary between evaluations.  ``gap_tol`` must be
+    alongside for comparison.  Aborts if ``fiedler_gap``, the gap isolating
+    the second eigenvalue, drops below ``gap_tol`` times the Laplacian's
+    ``max(1, largest |entry|)`` anywhere along the path (checked at the start,
+    then the end, then the midpoints in path order), and warns if any link
+    crosses the range boundary between evaluations.  ``gap_tol`` must be
     positive and finite.  Waypoints must be finite, and no midpoint may land
     exactly on a fixed agent (CoincidentAgentsError), where the derivative is
     undefined.
@@ -413,8 +415,9 @@ def integrate_connectivity_change(
         # The first failing point in path order: its gap, then (midpoints
         # only) a linked agent at its coordinates, where the derivative is undefined.
         gaps = fiedler_gap(values)
+        bounds = gap_tol * _entry_scale(laps, axis=(1, 2))
         touching = (points[n_ends:, None, :] == pos).all(axis=-1) & linked[n_ends:]
-        failing = gaps < gap_tol
+        failing = gaps < bounds
         failing[n_ends:] |= touching.any(axis=1)
         if failing.any():
             i = int(np.argmax(failing))
@@ -422,8 +425,10 @@ def integrate_connectivity_change(
                 where = end_labels[lo + i]
             else:
                 where = f"along the path (arc position {float(arcs[i - n_ends]):.1f} of segment)"
-            if gaps[i] < gap_tol:
-                raise DegenerateFiedlerError(f"eigenvalue gap {float(gaps[i]):.3e} below {gap_tol:.1e} {where}")
+            if gaps[i] < bounds[i]:
+                raise DegenerateFiedlerError(
+                    f"eigenvalue gap {float(gaps[i]):.3e} below {float(bounds[i]):.3e} {where}"
+                )
             j = int(np.argmax(touching[i - n_ends]))
             raise CoincidentAgentsError(f"agents {ids[mobile]!r} and {ids[j]!r} coincide {where}")
         ends += values[:n_ends, 1].tolist()

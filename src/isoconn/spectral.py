@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFiedlerError, NotLaplacianError, OrderMismatchError
-from .matrices import SYMMETRY_TOL, SquareMatrix, _check_symmetric, _check_tol, _symmetric_eigenvalues
+from .matrices import SYMMETRY_TOL, SquareMatrix, _check_symmetric, _check_tol, _symmetric_eigenvalues, _tol_scale
 from .topology import _validated_eigensystem
 
 DEFAULT_EIGENVALUE_TOL = 1e-9
@@ -19,14 +20,19 @@ DEGENERACY_GAP = 1e-9
 class ConnectivityReport:
     """Second eigenvalue and its eigenvector, with a degeneracy flag.
 
-    ``fiedler`` is unit-norm under the solver's sign convention.  ``lambda2``
-    and ``degenerate`` are read from ``spectrum``: ``degenerate`` means the gap
-    to the third eigenvalue is below 1e-9, in which case the reported vector
-    is still deterministic but not mathematically unique.
+    ``fiedler`` is unit-norm under the solver's sign convention.  ``scale`` is
+    ``max(1, largest |entry|)`` of the solved Laplacian; it is not part of the
+    JSON.  ``lambda2`` and ``degenerate`` are read from ``spectrum``:
+    ``degenerate`` means ``fiedler_gap``, the gap from the second eigenvalue to
+    the nearer of its neighbours, is below 1e-9 times ``scale``, in which case
+    the reported vector is still deterministic but not mathematically unique.
+    A disconnected graph, whose second eigenvalue is a second zero, is
+    degenerate too.
     """
 
     fiedler: np.ndarray
     spectrum: np.ndarray
+    scale: float = 1.0
 
     def __post_init__(self):
         for name in ("fiedler", "spectrum"):
@@ -40,7 +46,7 @@ class ConnectivityReport:
 
     @property
     def degenerate(self) -> bool:
-        return self.spectrum.size >= 3 and bool(self.spectrum[2] - self.spectrum[1] < DEGENERACY_GAP)
+        return bool(fiedler_gap(self.spectrum) < DEGENERACY_GAP * self.scale)
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,13 +63,13 @@ def algebraic_connectivity(
     """Connectivity report for a structurally valid Laplacian."""
     if laplacian.order < 2:
         raise NotLaplacianError("need order >= 2 for a second eigenvalue")
-    checks, w, v = _validated_eigensystem(laplacian, tol, vectors=True)
+    checks, w, v, scale = _validated_eigensystem(laplacian, tol, vectors=True)
     if not checks.passed:
         raise NotLaplacianError(f"structural validation failed: {checks.to_json_dict()}")
     # Validation passes asymmetries up to ``tol``; the eigensystem, read from
     # the symmetrized matrix, stands for the input only up to SYMMETRY_TOL.
     _check_symmetric(laplacian.entries, SYMMETRY_TOL)
-    return ConnectivityReport(fiedler=v[:, 1], spectrum=w)
+    return ConnectivityReport(fiedler=v[:, 1], spectrum=w, scale=scale)
 
 
 def fiedler_gap(values: np.ndarray) -> np.ndarray:
@@ -80,32 +86,28 @@ def fiedler_gap(values: np.ndarray) -> np.ndarray:
     return np.where(upper < lower, upper, lower)
 
 
-def fiedler_is_simple(report: ConnectivityReport) -> bool:
-    """True when the second eigenvalue is separated from both neighbors.
-
-    ``report.degenerate`` only covers the gap to the third eigenvalue; a
-    disconnected graph has its second eigenvalue glued to the zero eigenvalue
-    instead, which makes the Fiedler vector just as ill-defined.
-    """
-    return bool(fiedler_gap(report.spectrum) >= DEGENERACY_GAP)
-
-
 def _require_same_order(p: int, q: int) -> None:
     if p != q:
         raise OrderMismatchError(f"orders differ: {p} vs {q}")
 
 
-def _spectra_agree(wa: np.ndarray, wb: np.ndarray, tol: float) -> bool:
-    """``is_isospectral``'s verdict on two spectra already solved."""
+def _spectra_agree(a: SquareMatrix, b: SquareMatrix, wa: np.ndarray, wb: np.ndarray, tol: float) -> bool:
+    """``is_isospectral``'s verdict on the spectra ``wa`` and ``wb`` already solved from ``a`` and ``b``."""
     _require_same_order(wa.size, wb.size)
-    return bool(np.abs(wa - wb).max() <= tol)
+    _, scale, shift = _tol_scale(np.stack([a.entries, b.entries]))
+    w = np.ldexp(np.stack([wa, wb]), -shift)
+    return bool(np.abs(w[0] - w[1]).max() <= tol * scale)
 
 
 def is_isospectral(a: SquareMatrix, b: SquareMatrix, tol: float = DEFAULT_EIGENVALUE_TOL) -> bool:
-    """True when the full sorted spectra agree element-wise within ``tol`` (positive, finite)."""
+    """True when the full sorted spectra agree element-wise within ``tol`` times the larger scale.
+
+    ``tol`` must be positive and finite; the scale of a matrix is
+    ``max(1, largest |entry|)``, so the verdict does not depend on the units.
+    """
     _check_tol(tol)
     _require_same_order(a.order, b.order)
-    return _spectra_agree(_symmetric_eigenvalues(a), _symmetric_eigenvalues(b), tol)
+    return _spectra_agree(a, b, _symmetric_eigenvalues(a), _symmetric_eigenvalues(b), tol)
 
 
 @dataclass(frozen=True)
@@ -136,22 +138,25 @@ class NullSpaceCheck:
 def fiedler_null_space_check(
     base: SquareMatrix, other: SquareMatrix, tol: float = DEFAULT_RESIDUAL_TOL
 ) -> NullSpaceCheck:
-    """Test (other - base) @ fiedler(base) == 0 within ``tol`` (positive, finite).
+    """Test (other - base) @ fiedler(base) == 0 within ``tol`` times the larger scale.
 
-    Both inputs must be valid Laplacians with a simple second eigenvalue;
+    ``tol`` must be positive and finite; the scale of a matrix is
+    ``max(1, largest |entry|)``, and ``lambda2_match`` allows the same bound.
+    Both inputs must be valid Laplacians whose reports are not ``degenerate``;
     degenerate inputs are refused because the Fiedler vector is not unique there.
     """
     _check_tol(tol)
     _require_same_order(base.order, other.order)
     rep_a = algebraic_connectivity(base)
     rep_b = algebraic_connectivity(other)
-    if not (fiedler_is_simple(rep_a) and fiedler_is_simple(rep_b)):
+    if rep_a.degenerate or rep_b.degenerate:
         raise DegenerateFiedlerError("second eigenvalue is repeated; Fiedler vector not unique")
-    residual = float(np.abs((other.entries - base.entries) @ rep_a.fiedler).max())
+    m, scale, shift = _tol_scale(np.stack([base.entries, other.entries]))
+    residual = float(np.abs((m[1] - m[0]) @ rep_a.fiedler).max())
     return NullSpaceCheck(
-        ok=residual <= tol,
-        residual=residual,
+        ok=residual <= tol * scale,
+        residual=residual * 2.0**shift,
         lambda2_base=rep_a.lambda2,
         lambda2_other=rep_b.lambda2,
-        lambda2_match=abs(rep_a.lambda2 - rep_b.lambda2) <= tol,
+        lambda2_match=math.ldexp(abs(rep_a.lambda2 - rep_b.lambda2), -shift) <= tol * scale,
     )

@@ -93,9 +93,18 @@ class AgentConfiguration:
             if key not in data:
                 raise ValueError(f"configuration JSON is missing {key!r}")
         agents = tuple(
-            Agent(str(a["id"]), float(a["x"]), float(a["y"])) for a in data["agents"]
+            Agent(str(a["id"]), _json_float(a["x"], f"agents[{i}].x"), _json_float(a["y"], f"agents[{i}].y"))
+            for i, a in enumerate(data["agents"])
         )
-        return cls(agents, float(data["sigma"]), float(data["range"]))
+        return cls(agents, _json_float(data["sigma"], "sigma"), _json_float(data["range"], "range"))
+
+
+def _json_float(value, name: str) -> float:
+    """``float(value)``; an integer beyond float64 is a ValueError naming the field."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} overflows float64") from None
 
 
 def _check_decay(sigma: float, comm_range: float) -> None:
@@ -235,20 +244,23 @@ def validate_laplacian(matrix: SquareMatrix, tol: float) -> LaplacianValidation:
 
     Spectral flags (psd, connected) are computed on the symmetrized matrix so an
     asymmetric input still gets a meaningful report; a single node counts as
-    connected.  ``tol`` must be positive and finite; the structural flags
-    allow ``tol * max(1, largest |entry|)``, ``connected`` needs w[1] > tol.
+    connected.  ``tol`` must be positive and finite.  Every flag allows
+    ``tol * max(1, largest |entry|)``: the structural ones as a residual, psd
+    as the smallest eigenvalue's depth below zero, and ``connected`` needs the
+    second eigenvalue above it.
     """
     return _validated_eigensystem(matrix, tol, vectors=False)[0]
 
 
 def _validated_eigensystem(
     matrix: SquareMatrix, tol: float, vectors: bool
-) -> tuple[LaplacianValidation, np.ndarray, np.ndarray | None]:
-    """``validate_laplacian``'s flags with the eigensystem they were read from.
+) -> tuple[LaplacianValidation, np.ndarray, np.ndarray | None, float]:
+    """``validate_laplacian``'s flags with the eigensystem they were read from, and its scale.
 
     The eigenvalues (and, with ``vectors``, the eigenvectors) are those of the
     symmetrized matrix, so a caller that needs the spectrum of an already
-    symmetric Laplacian solves it only once.
+    symmetric Laplacian solves it only once.  The scale is
+    ``max(1, largest |entry|)``, which every flag's bound multiplies.
     """
     _check_tol(tol)
     m, scale, shift = _tol_scale(matrix.entries)
@@ -260,15 +272,15 @@ def _validated_eigensystem(
     w, v = _eigh_stack(_symmetrized(matrix.entries)[None], vectors)
     w = w[0]
     psd = math.ldexp(float(w[0]), -shift) >= -bound
-    connected = True if n == 1 else bool(w[1] > tol)
+    connected = n == 1 or math.ldexp(float(w[1]), -shift) > bound
     checks = LaplacianValidation(symmetric, zero_row_sums, nonpositive_offdiag, psd, connected)
-    return checks, w, None if v is None else v[0]
+    return checks, w, None if v is None else v[0], math.ldexp(scale, shift)
 
 
 def is_connected(config: AgentConfiguration) -> bool:
     """Breadth-first connectivity over links with positive weight.
 
-    Agrees with the spectral test (second eigenvalue above 1e-9) on any sane
+    Agrees with ``validate_laplacian``'s ``connected`` at tol 1e-9 on any sane
     configuration; the graph route needs no eigensolve.
     """
     w = _weights_from_positions(config.positions(), config.sigma, config.comm_range)

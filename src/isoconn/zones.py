@@ -25,10 +25,17 @@ from .topology import AgentConfiguration, _check_agent, _moved_laplacians
 TARGET_CONNECTIVITY = 4.0
 
 
+def _shown(value) -> str:
+    """``value`` for an error message: an integer past 64 bits by its sign and size, which stays short."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
+    return str(value)
+
+
 def _check_parameters(alpha: float, beta: float) -> tuple[float, float]:
     """The parameters as Python floats once positive: numpy scalars then compute in float64."""
     if not (alpha > 0 and beta > 0):
-        raise NonPositiveParameterError(f"parameters must be positive, got ({alpha}, {beta})")
+        raise NonPositiveParameterError(f"parameters must be positive, got ({_shown(alpha)}, {_shown(beta)})")
     try:
         return float(alpha), float(beta)
     except OverflowError:

@@ -147,6 +147,9 @@ class TestCapturedStdout:
             (["parametric", "--alpha", "2", "--beta", "3"], "parametric_a2_b3_full.json"),
             # A discrepancy point: lambda2 is the minus root, below 4.
             (["parametric", "--alpha", "0.5", "--beta", "3"], "parametric_a0.5_b3_full.json"),
+            # The pair times 1e6: its spectra agree to about 1e-9 of the entries.
+            (["isospectral", "--matrix", "cli_l1_x1e6.json", "--matrix", "cli_l2_x1e6.json"],
+             "isospectral_l1_l2_x1e6_full.json"),
         ],
     )
     def test_stdout_bytes_unchanged(self, capsys, argv, golden):
@@ -154,6 +157,9 @@ class TestCapturedStdout:
         code, out, _ = run(capsys, argv + ["--precision", "full"])
         assert code == 0
         assert out.encode() == (DATA / golden).read_bytes()
+
+    def test_scaled_pair_is_isospectral(self):
+        assert json.loads((DATA / "isospectral_l1_l2_x1e6_full.json").read_text())["isospectral"] is True
 
 
 class TestConnectivity:

@@ -56,12 +56,13 @@ class TestConnectivityReport:
         for rep in reports:
             w = rep.spectrum
             assert rep.lambda2.hex() == float(w[1]).hex()
-            assert rep.degenerate is (w.size >= 3 and bool(w[2] - w[1] < DEGENERACY_GAP))
+            assert rep.degenerate is bool(min(np.diff(w)[:2]) < DEGENERACY_GAP * rep.scale)
         assert [rep.degenerate for rep in reports[:2]] == [True, False]
 
-    def test_order_two_is_never_degenerate(self):
+    def test_order_two_reads_the_lower_gap(self):
         rep = ConnectivityReport(np.array([0.6, -0.8]), np.array([0.0, 0.0]))
-        assert rep.lambda2 == 0.0 and rep.degenerate is False
+        assert rep.lambda2 == 0.0 and rep.degenerate is True
+        assert ConnectivityReport(np.array([0.6, -0.8]), np.array([0.0, 1.0])).degenerate is False
 
     def test_json_reads_the_properties(self):
         rep = ConnectivityReport(np.zeros(3), np.array([0.0, 1.0, 1.0 + 5e-10]))

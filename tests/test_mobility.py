@@ -510,12 +510,14 @@ def one_solve_per_point(config, mobile, waypoints, steps, gap_tol=1e-6):
     def solve(point):
         work = pos.copy()
         work[mobile] = point
-        w, v = _eigh_core(_laplacian_from_positions(work, sigma, comm_range))
+        lap = _laplacian_from_positions(work, sigma, comm_range)
+        w, v = _eigh_core(lap)
         gap = float(w[1] - w[0])
         if len(w) >= 3:
             gap = min(gap, float(w[2] - w[1]))
-        if gap < gap_tol:
-            raise DegenerateFiedlerError(f"eigenvalue gap {gap:.3e} below {gap_tol:.1e} {where}")
+        bound = gap_tol * max(1.0, float(np.abs(lap).max()))
+        if gap < bound:
+            raise DegenerateFiedlerError(f"eigenvalue gap {gap:.3e} below {bound:.3e} {where}")
         return work, float(w[1]), v[:, 1]
 
     def flags_at(point):

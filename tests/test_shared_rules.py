@@ -36,7 +36,8 @@ from isoconn import (
     validate_iso_transform,
     validate_laplacian,
 )
-from conftest import geometric_config, make_config
+from isoconn.spectral import DEGENERACY_GAP
+from conftest import L4P_ROWS, L4PP_ROWS, geometric_config, make_config
 
 L = dense_family_laplacian(2.0, 3.0)
 Q = permutation_matrix([3, 2, 1, 0])
@@ -143,6 +144,129 @@ def unit_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_entries_up_to_one_keep_the_absolute_rule(m, tol):
     assert validate_laplacian(SquareMatrix(m), tol) == absolute_flags(m, tol)
+
+
+# One rule for every decision on a spectrum: a gap or a difference of
+# eigenvalues is compared with its threshold times max(1, largest |entry|) of
+# the matrix it was solved from.  A power of two scales every eigenvalue
+# exactly, so no verdict may depend on it; the scales run past 2^1000, where
+# the comparisons must stay finite and warning-free.
+SCALES = [-10, 0, 10, 16, 20, 30, 40, 50, 60, 1010]
+
+
+def scaled(matrix, k):
+    return SquareMatrix(np.ldexp(matrix.entries, k))
+
+
+def relabeled_pair(seed):
+    """A seven-agent geometric Laplacian (range 3) and a random relabeling of it."""
+    rng = np.random.default_rng([seed, 7])
+    lap = build_laplacian(geometric_config(rng, 7, comm_range=3.0))
+    perm = rng.permutation(7)
+    return lap, SquareMatrix(lap.entries[np.ix_(perm, perm)])
+
+
+# Until every decision read the scale, all 50 pairs were non-isospectral from
+# 2^20 on, though their spectra agree to about 1e-15 of the entries.
+@pytest.mark.parametrize("k", [k for k in SCALES if k >= 0])
+def test_relabelings_are_isospectral_at_every_scale(k):
+    for seed in range(50):
+        a, b = relabeled_pair(seed)
+        assert is_isospectral(scaled(a, k), scaled(b, k)), seed
+
+
+# The unit square has lambda2 = lambda3 by symmetry, a computed gap of about
+# 1e-15 of its entries; the absolute rule called it simple from 2^30 on.
+UNIT_SQUARE = build_laplacian(make_config([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], comm_range=1.2))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_a_repeated_lambda2_is_degenerate_at_every_scale(k):
+    square = scaled(UNIT_SQUARE, k)
+    assert algebraic_connectivity(square).degenerate
+    with pytest.raises(DegenerateFiedlerError):
+        connectivity_differential(square, V)
+    with pytest.raises(DegenerateFiedlerError):
+        fiedler_null_space_check(square, square)
+
+
+def two_clusters():
+    """Two four-agent clusters in 2x2 boxes 50 apart, range 3: each connected, the whole not."""
+    rng = np.random.default_rng(5)
+    points = np.vstack([rng.uniform(0.0, 2.0, size=(4, 2)), rng.uniform(0.0, 2.0, size=(4, 2)) + 50.0])
+    return build_laplacian(make_config(points, comm_range=3.0))
+
+
+# Two zero eigenvalues, whose rounding the absolute rule read as connected
+# from 2^30 on; the one-sided degeneracy rule never saw them.
+TWO_CLUSTERS = two_clusters()
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_a_disconnected_laplacian_reads_disconnected_at_every_scale(k):
+    lap = scaled(TWO_CLUSTERS, k)
+    assert not validate_laplacian(lap, 1e-9).connected
+    assert algebraic_connectivity(lap).degenerate
+
+
+def test_two_components_are_degenerate():
+    # Spectrum [0, 0, 2, 4]: the gap to the third eigenvalue is 2, but the
+    # second eigenvalue is a second zero.
+    rows = [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]]
+    report = algebraic_connectivity(SquareMatrix.from_rows(rows))
+    assert report.spectrum == pytest.approx([0.0, 0.0, 2.0, 4.0], abs=1e-12)
+    assert report.degenerate and report.to_json_dict()["degenerate"] is True
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_a_shared_fiedler_vector_passes_at_every_scale(k):
+    base, other = (scaled(SquareMatrix.from_rows(rows), k) for rows in (L4P_ROWS, L4PP_ROWS))
+    check = fiedler_null_space_check(base, other)
+    assert check.ok and check.lambda2_match
+
+
+@st.composite
+def unit_laplacian_pairs(draw):
+    """A Laplacian with entries up to 1, and a relabeling of it nudged on one link.
+
+    Repeated weights give repeated eigenvalues and zero weights give several
+    components; the nudges straddle the tolerances.
+    """
+    n = draw(st.integers(2, 6))
+    levels = st.sampled_from([0.0, 0.25 / n, 0.5 / n, 1.0 / n])
+    upper = np.triu(draw(arrays(float, (n, n), elements=levels)), 1)
+    weights = upper + upper.T
+    a = np.diag(weights.sum(axis=1)) - weights
+    perm = draw(st.permutations(range(n)))
+    nudge = np.zeros((n, n))
+    nudge[0, 0] = nudge[1, 1] = draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6]))
+    nudge[0, 1] = nudge[1, 0] = -nudge[0, 0]
+    return SquareMatrix(a), SquareMatrix(a[np.ix_(perm, perm)] + nudge)
+
+
+def absolute_degenerate(w):
+    """The two-sided rule at scale 1: the second eigenvalue within DEGENERACY_GAP of a neighbour."""
+    return bool(np.diff(w)[:2].min() < DEGENERACY_GAP)
+
+
+@given(unit_laplacian_pairs(), st.sampled_from([1e-12, 1e-9, 1e-7, 1e-4]))
+@settings(max_examples=200, deadline=None)
+def test_scale_one_keeps_the_absolute_rule(pair, tol):
+    a, b = pair
+    wa, wb = (symmetric_eigendecomposition(m).eigenvalues for m in pair)
+    reports = [algebraic_connectivity(m) for m in pair]
+    assert [r.scale for r in reports] == [1.0, 1.0]
+    assert [r.degenerate for r in reports] == [absolute_degenerate(wa), absolute_degenerate(wb)]
+    assert validate_laplacian(a, tol).connected is bool(wa[1] > tol)
+    assert is_isospectral(a, b, tol) is bool(np.abs(wa - wb).max() <= tol)
+    if any(r.degenerate for r in reports):
+        with pytest.raises(DegenerateFiedlerError):
+            fiedler_null_space_check(a, b, tol)
+        return
+    check = fiedler_null_space_check(a, b, tol)
+    residual = float(np.abs((b.entries - a.entries) @ reports[0].fiedler).max())
+    assert check.residual == residual and check.ok is (residual <= tol)
+    assert check.lambda2_match is bool(abs(wa[1] - wb[1]) <= tol)
 
 
 CONFIG = make_config([(0.0, 0.0), (4.0, 0.0), (1.0, 2.0)], comm_range=10.0)

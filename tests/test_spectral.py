@@ -19,7 +19,7 @@ from isoconn import (
     permutation_matrix,
     validate_laplacian,
 )
-from isoconn.spectral import DEGENERACY_GAP, ConnectivityReport, fiedler_gap, fiedler_is_simple
+from isoconn.spectral import DEGENERACY_GAP, ConnectivityReport, fiedler_gap
 from conftest import FIEDLER_DIRECTION, L1_ROWS, L1_SPECTRUM
 
 
@@ -101,11 +101,8 @@ class TestFiedlerGap:
     @settings(max_examples=200, deadline=None)
     def test_simplicity_equals_the_two_sided_rule(self, spectrum):
         w = np.cumsum(spectrum)
-        degenerate = len(w) >= 3 and bool(w[2] - w[1] < DEGENERACY_GAP)
         report = ConnectivityReport(np.zeros(len(w)), w)
-        assert report.degenerate is degenerate
-        expected = not degenerate and float(w[1] - w[0]) >= DEGENERACY_GAP
-        assert fiedler_is_simple(report) is expected
+        assert report.degenerate is bool(min(np.diff(w)[:2]) < DEGENERACY_GAP)
 
 
 class TestIsIsospectral:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,17 @@ class TestConfigurationJson:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             AgentConfiguration.from_json_dict({"sigma": 1.0, "agents": []})
+
+    @pytest.mark.parametrize(
+        "field,agent,key", [("sigma", None, "sigma"), ("range", None, "range"), ("agents[1].x", 1, "x"), ("agents[0].y", 0, "y")]
+    )
+    def test_an_integer_beyond_float64_names_its_field(self, field, agent, key):
+        # JSON reads 1 followed by 400 zeros as an int; float() of it used to
+        # raise a bare OverflowError.
+        data = make_config([(0.0, 1.0), (2.0, 3.0)]).to_json_dict()
+        (data if agent is None else data["agents"][agent])[key] = 10**400
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} overflows float64$"):
+            AgentConfiguration.from_json_dict(data)
 
     @pytest.mark.parametrize(
         "sigma,comm_range,message",

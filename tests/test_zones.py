@@ -45,6 +45,13 @@ class TestDenseFamilyLaplacian:
         with pytest.raises(NonPositiveParameterError):
             dense_family_laplacian(alpha, beta)
 
+    def test_a_huge_negative_integer_is_nonpositive(self):
+        # Formatting it into the message used to raise Python's ValueError
+        # for integers past 4300 digits.
+        with pytest.raises(NonPositiveParameterError) as exc:
+            dense_family_laplacian(-10**5000, 1)
+        assert str(exc.value) == "parameters must be positive, got (a negative 16610-bit integer, 1)"
+
 
 class TestDenseFamilySpectrum:
     def test_reference_values(self):
