@@ -273,9 +273,9 @@ def _cmd_integrate(args):
     data = _load_json(args.path)
     try:
         mobile = config.index_of(str(data["mobile"]))
-        waypoints = [(float(p[0]), float(p[1])) for p in data["waypoints"]]
+        waypoints = [(p[0], p[1]) for p in data["waypoints"]]
         steps = _as_int(data["steps"], "steps")
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliInputError(f"invalid path file {args.path}: {exc}") from exc
     result = integrate_connectivity_change(config, mobile, waypoints, steps)
     return result.to_json_dict()

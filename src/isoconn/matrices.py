@@ -72,6 +72,31 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _as_float(value, name: str) -> float:
+    """The one float rule, ``_as_int``'s twin, for every public float parameter and JSON field.
+
+    A Python float, an int, or a numpy floating or integer scalar becomes a
+    Python float, so numpy scalars compute in float64; an int past float64's
+    range becomes the +-inf that rounding gives it.  A bool, a string or
+    anything else is a ValueError.  Finiteness is the caller's check.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _shown(value) -> str:
+    """``value`` for an error message: an integer past 64 bits by its sign and size, which stays short."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
+    return str(value)
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
     """Immutable dense real square matrix with finite entries."""
@@ -79,7 +104,12 @@ class SquareMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+        try:
+            arr = np.array(self.entries, dtype=float)
+        except OverflowError:  # an int entry past float64: inf by the float rule
+            obj = np.array(self.entries, dtype=object)
+            arr = np.array([_as_float(x, "matrix entry") if type(x) is int else x for x in obj.flat], dtype=float)
+            arr = arr.reshape(obj.shape)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -95,7 +125,7 @@ class SquareMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "SquareMatrix":
-        return cls(np.array(rows, dtype=float))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
@@ -103,6 +133,7 @@ class SquareMatrix:
 
     def isclose(self, other: "SquareMatrix", tol: float) -> bool:
         """Element-wise equality within absolute tolerance ``tol``."""
+        tol = _as_float(tol, "tol")
         if self.order != other.order:
             return False
         return bool(np.abs(self.entries - other.entries).max() <= tol)
@@ -442,12 +473,14 @@ def _list_eigenvalues(rows: list[list[float]]) -> list[float]:
     return _eigh_stack(np.array([rows]))[0][0].tolist()
 
 
-def _check_tol(tol: float) -> None:
-    """The one rule for a public ``tol``: positive and finite, else ValueError."""
+def _check_tol(tol: float, name: str = "tol") -> float:
+    """The one rule for a public tolerance: ``tol`` as a float by ``_as_float``, positive and finite, else ValueError."""
+    tol = _as_float(tol, name)
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValueError(f"{name} must be positive")
     if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+        raise ValueError(f"{name} must be finite, got {tol}")
+    return tol
 
 
 def _entry_scale(a: np.ndarray, axis: tuple[int, ...] | None = None) -> np.ndarray | float:
@@ -498,7 +531,7 @@ def symmetric_eigendecomposition(
     the caller cannot change the result.
     """
     a = matrix.entries
-    _check_symmetric(a, symmetry_tol)
+    _check_symmetric(a, _check_tol(symmetry_tol, "symmetry_tol"))
     w, v = _eigh_stack(_symmetrized(a)[None], vectors=True)
     w, v = w[0], v[0]
     residual = float(np.abs(a @ v - v * w).max())
@@ -515,7 +548,7 @@ def _symmetric_eigenvalues(matrix: SquareMatrix) -> np.ndarray:
 def _as_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     p = tuple(_as_int(i, "permutation entry") for i in perm)
     if sorted(p) != list(range(len(p))):
-        raise NotBijectionError(f"not a bijection on 0..{len(p) - 1}: {list(perm)}")
+        raise NotBijectionError(f"not a bijection on 0..{len(p) - 1}: [{', '.join(map(_shown, p))}]")
     return p
 
 
@@ -572,7 +605,7 @@ def validate_iso_transform(transform: SquareMatrix, tol: float) -> TransformVali
     sufficient, so structure is always re-validated downstream.  ``tol``
     must be positive and finite.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     q = transform.entries
     n = transform.order
     # Products of huge entries overflow to inf or nan, and both fail the tests.
@@ -608,6 +641,7 @@ def ones_axis_rotation(n: int, theta: float) -> SquareMatrix:
     """
     if n < 3:
         raise OrderTooSmallError("ones-axis rotations need order >= 3")
+    theta = _as_float(theta, "theta")
     u = np.zeros(n)
     u[0], u[1] = 1.0, -1.0
     u /= math.sqrt(2.0)

@@ -22,7 +22,17 @@ from .errors import (
     NotLaplacianError,
     OrderTooSmallError,
 )
-from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _entry_scale, _stack_slices, _tol_scale
+from .matrices import (
+    SquareMatrix,
+    _as_float,
+    _as_int,
+    _check_tol,
+    _eigh_stack,
+    _entry_scale,
+    _shown,
+    _stack_slices,
+    _tol_scale,
+)
 from .spectral import algebraic_connectivity, fiedler_gap
 from .topology import AgentConfiguration, _check_agent, _distances, _moved_laplacians, validate_laplacian
 
@@ -103,7 +113,7 @@ def connectivity_differential(
     well defined, and raises NonFiniteError when the quadratic form overflows
     float64.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if laplacian.order != variation.order:
         raise InvalidVariationError(
             f"orders differ: {laplacian.order} vs {variation.order}"
@@ -140,8 +150,8 @@ def laplacian_motion_derivative(
     pos = config.positions()
     mobile = _check_agent(mobile, len(config.agents))
     try:
-        u = np.asarray(direction, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        u = np.array([_as_float(d, "direction") for d in direction])
+    except (TypeError, ValueError):
         u = None
     if u is None or u.shape != (2,) or not np.isfinite(u).all():
         raise ValueError("direction must be two finite numbers")
@@ -351,12 +361,15 @@ def integrate_connectivity_change(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > _MAX_STEPS:
-        raise ValueError(f"steps must be at most 2**24, got {steps}")
-    _check_tol(gap_tol)
+        raise ValueError(f"steps must be at most 2**24, got {_shown(steps)}")
+    gap_tol = _check_tol(gap_tol, "gap_tol")
     pos = config.positions()
     n = len(config.agents)
     mobile = _check_agent(mobile, n)
-    pts = [np.array([float(w[0]), float(w[1])]) for w in waypoints]
+    pts = [
+        np.array([_as_float(w[0], f"waypoint {i} x"), _as_float(w[1], f"waypoint {i} y")])
+        for i, w in enumerate(waypoints)
+    ]
     for i, point in enumerate(pts):
         if not np.isfinite(point).all():
             raise NonFiniteError(f"waypoint {i} is not finite: {point.tolist()}")

@@ -105,7 +105,7 @@ def is_isospectral(a: SquareMatrix, b: SquareMatrix, tol: float = DEFAULT_EIGENV
     ``tol`` must be positive and finite; the scale of a matrix is
     ``max(1, largest |entry|)``, so the verdict does not depend on the units.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _require_same_order(a.order, b.order)
     return _spectra_agree(a, b, _symmetric_eigenvalues(a), _symmetric_eigenvalues(b), tol)
 
@@ -145,7 +145,7 @@ def fiedler_null_space_check(
     Both inputs must be valid Laplacians whose reports are not ``degenerate``;
     degenerate inputs are refused because the Fiedler vector is not unique there.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     _require_same_order(base.order, other.order)
     rep_a = algebraic_connectivity(base)
     rep_b = algebraic_connectivity(other)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAgentsError
-from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _symmetrized, _tol_scale
+from .matrices import SquareMatrix, _as_float, _as_int, _check_tol, _eigh_stack, _shown, _symmetrized, _tol_scale
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class AgentConfiguration:
 
     Agent order fixes matrix row/column order.  All agents share one decay rate
     ``sigma`` and one communication range ``comm_range`` (JSON key ``range``).
+    Positions, ``sigma`` and ``comm_range`` are stored as Python floats, by
+    the float rule of ``matrices._as_float``.
     """
 
     agents: tuple[Agent, ...]
@@ -40,17 +42,22 @@ class AgentConfiguration:
     comm_range: float
 
     def __post_init__(self):
-        agents = tuple(self.agents)
-        object.__setattr__(self, "agents", agents)
+        agents = list(self.agents)
         if len(agents) < 2:
             raise ValueError("a configuration needs at least 2 agents")
         ids = [a.id for a in agents]
         if len(set(ids)) != len(ids):
             raise ValueError("agent ids must be unique")
-        for a in agents:
+        for i, a in enumerate(agents):
+            if type(a.x) is not float or type(a.y) is not float:
+                a = agents[i] = Agent(a.id, _as_float(a.x, f"agents[{i}].x"), _as_float(a.y, f"agents[{i}].y"))
             if not (math.isfinite(a.x) and math.isfinite(a.y)):
                 raise ValueError(f"agent {a.id!r} has a non-finite position")
-        _check_decay(self.sigma, self.comm_range)
+        agents = tuple(agents)
+        object.__setattr__(self, "agents", agents)
+        sigma, comm_range = _check_decay(self.sigma, self.comm_range)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "comm_range", comm_range)
         n = len(agents)
         for i in range(n):
             for j in range(i + 1, n):
@@ -75,7 +82,7 @@ class AgentConfiguration:
         """Copy of the configuration with one agent moved."""
         agents = list(self.agents)
         old = agents[index]
-        agents[index] = Agent(old.id, float(x), float(y))
+        agents[index] = Agent(old.id, x, y)
         return AgentConfiguration(tuple(agents), self.sigma, self.comm_range)
 
     def to_json_dict(self) -> dict:
@@ -92,23 +99,13 @@ class AgentConfiguration:
         for key in ("sigma", "range", "agents"):
             if key not in data:
                 raise ValueError(f"configuration JSON is missing {key!r}")
-        agents = tuple(
-            Agent(str(a["id"]), _json_float(a["x"], f"agents[{i}].x"), _json_float(a["y"], f"agents[{i}].y"))
-            for i, a in enumerate(data["agents"])
-        )
-        return cls(agents, _json_float(data["sigma"], "sigma"), _json_float(data["range"], "range"))
+        agents = tuple(Agent(str(a["id"]), a["x"], a["y"]) for a in data["agents"])
+        return cls(agents, data["sigma"], data["range"])
 
 
-def _json_float(value, name: str) -> float:
-    """``float(value)``; an integer beyond float64 is a ValueError naming the field."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} overflows float64") from None
-
-
-def _check_decay(sigma: float, comm_range: float) -> None:
-    """ValueError unless sigma and comm_range are positive and finite with a finite ratio."""
+def _check_decay(sigma: float, comm_range: float) -> tuple[float, float]:
+    """sigma and comm_range as floats, ValueError unless positive and finite with a finite ratio."""
+    sigma, comm_range = _as_float(sigma, "sigma"), _as_float(comm_range, "comm_range")
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
     if not (comm_range > 0):
@@ -119,6 +116,7 @@ def _check_decay(sigma: float, comm_range: float) -> None:
         raise ValueError(f"comm_range must be finite, got {comm_range}")
     if not math.isfinite(sigma / comm_range):
         raise ValueError(f"decay rate sigma / comm_range overflows: {sigma} / {comm_range}")
+    return sigma, comm_range
 
 
 def adjacency_weight(distance: float, sigma: float, comm_range: float) -> float:
@@ -128,9 +126,10 @@ def adjacency_weight(distance: float, sigma: float, comm_range: float) -> float:
     monotone non-increasing and continuous on [0, comm_range], with a jump at the
     boundary.  Bit for bit the weight ``build_adjacency`` gives agents that far apart.
     """
+    distance = _as_float(distance, "distance")
     if not distance >= 0:
         raise ValueError(f"distance must be nonnegative, got {distance}")
-    _check_decay(sigma, comm_range)
+    sigma, comm_range = _check_decay(sigma, comm_range)
     return float(_link_weights(np.array(distance), sigma, comm_range))
 
 
@@ -138,7 +137,7 @@ def _check_agent(index: int, n: int) -> int:
     """``index`` as an int by the integer rule, IndexError unless it names one of ``n`` agents."""
     index = _as_int(index, "agent index")
     if not 0 <= index < n:
-        raise IndexError(f"agent index {index} out of range for order {n}")
+        raise IndexError(f"agent index {_shown(index)} out of range for order {n}")
     return index
 
 
@@ -262,7 +261,7 @@ def _validated_eigensystem(
     symmetric Laplacian solves it only once.  The scale is
     ``max(1, largest |entry|)``, which every flag's bound multiplies.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     m, scale, shift = _tol_scale(matrix.entries)
     bound = tol * scale
     n = matrix.order

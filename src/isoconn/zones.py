@@ -19,27 +19,23 @@ from .errors import (
     NonFiniteError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _as_int, _check_tol, _eigh_stack, _list_eigenvalues, _stack_slices
+from .matrices import SquareMatrix, _as_float, _as_int, _check_tol, _eigh_stack, _list_eigenvalues, _shown, _stack_slices
 from .topology import AgentConfiguration, _check_agent, _moved_laplacians
 
 TARGET_CONNECTIVITY = 4.0
-
-
-def _shown(value) -> str:
-    """``value`` for an error message: an integer past 64 bits by its sign and size, which stays short."""
-    if isinstance(value, int) and value.bit_length() > 64:
-        return f"{'a negative' if value < 0 else 'a'} {value.bit_length()}-bit integer"
-    return str(value)
+# Most cells a grid may have: a zone scan solves every cell, so more would
+# ask for unbounded work the way an unbounded path step count did.
+_MAX_CELLS = 1 << 24
 
 
 def _check_parameters(alpha: float, beta: float) -> tuple[float, float]:
-    """The parameters as Python floats once positive: numpy scalars then compute in float64."""
+    """The parameters as Python floats by the float rule, positive and finite."""
+    alpha, beta = _as_float(alpha, "alpha"), _as_float(beta, "beta")
     if not (alpha > 0 and beta > 0):
-        raise NonPositiveParameterError(f"parameters must be positive, got ({_shown(alpha)}, {_shown(beta)})")
-    try:
-        return float(alpha), float(beta)
-    except OverflowError:
-        raise NonFiniteError("parameters overflow float64") from None
+        raise NonPositiveParameterError(f"parameters must be positive, got ({alpha}, {beta})")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise NonFiniteError(f"parameters overflow float64: ({alpha}, {beta})")
+    return alpha, beta
 
 
 def _dense_family_entries(alpha: float, beta: float) -> list[list[float]]:
@@ -119,7 +115,7 @@ def _validity_check(
     alpha: float, beta: float, tol: float = 1e-9, lambda2: float | None = None
 ) -> ValidityCheck:
     """``dense_family_validity``, with lambda2 from the caller's own solve if given."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     alpha, beta = _check_parameters(alpha, beta)
     root = math.sqrt(_discriminant(alpha, beta))
     inequality_holds = 2.0 + alpha + beta + root > 4.0
@@ -131,7 +127,11 @@ def _validity_check(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular scan grid; positions are the nx-by-ny cell centers."""
+    """Rectangular scan grid; positions are the nx-by-ny cell centers.
+
+    Bounds are stored as Python floats by the float rule, and the grid has at
+    most 2**24 cells.
+    """
 
     xmin: float
     xmax: float
@@ -143,8 +143,15 @@ class GridSpec:
     def __post_init__(self):
         for name in ("nx", "ny"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name in ("xmin", "xmax", "ymin", "ymax"):
+            object.__setattr__(self, name, _as_float(getattr(self, name), name))
         if self.nx < 1 or self.ny < 1 or self.xmax < self.xmin or self.ymax < self.ymin:
-            raise EmptyGridError(f"grid has no cells: {self}")
+            raise EmptyGridError(
+                f"grid has no cells: {_shown(self.nx)} x {_shown(self.ny)} cells"
+                f" over x [{self.xmin}, {self.xmax}], y [{self.ymin}, {self.ymax}]"
+            )
+        if self.nx * self.ny > _MAX_CELLS:
+            raise ValueError(f"grid must have at most 2**24 cells, got {_shown(self.nx)} x {_shown(self.ny)}")
         if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
             raise NonFiniteError(f"grid bounds must be finite: {self}")
         if not all(map(math.isfinite, self._cell_size())):
@@ -222,9 +229,11 @@ def iso_connectivity_zone(
     The default target is one more slice of the first stack, with the mobile
     agent at its own position.  ``tol`` and ``target`` must be finite.
     """
-    _check_tol(tol)
-    if target is not None and not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target}")
+    tol = _check_tol(tol)
+    if target is not None:
+        target = _as_float(target, "target")
+        if not math.isfinite(target):
+            raise ValueError(f"target must be finite, got {target}")
     n = len(config.agents)
     mobile = _check_agent(mobile, n)
     pos = config.positions()

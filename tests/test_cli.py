@@ -539,6 +539,17 @@ class TestZone:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "InvalidInput"
 
+    def test_more_than_2_24_cells_exit_2_at_once(self, workdir, capsys):
+        _, _, config_path = workdir
+        argv = ["zone", "--input", config_path, "--mobile", "a3", "--bounds", "0,4,1,3", "--resolution", "4097,4096"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InvalidInput"
+        assert error["message"] == "grid must have at most 2**24 cells, got 4097 x 4096"
+
 
 class TestParametric:
     def test_family_report(self, capsys):

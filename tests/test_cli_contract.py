@@ -71,6 +71,7 @@ def base(tmp_path_factory):
         "bad.json": "{ not json",
         "order_inf.json": '{"order": Infinity, "rows": [[1.0]]}',
         "config_range_huge.json": json.dumps(CONFIG).replace('"range": 10.0', '"range": 1' + "0" * 400),
+        "entry_huge.json": '{"rows": [[1, -1], [-1, 1%s]]}' % ("0" * 400),
     })
     for i, steps in enumerate(STEPS):
         for j, end in enumerate(ENDS):
@@ -211,6 +212,7 @@ class TestContract:
             ["integrate", "--input", "config.json", "--path", "path4_0.json"],  # "steps": 2.5
             ["spectrum", "--matrix", "order_inf.json"],  # was an OverflowError traceback
             ["connectivity", "--input", "config_range_huge.json"],  # so was an integer range past float64
+            ["spectrum", "--matrix", "entry_huge.json"],  # and an integer matrix entry past float64
         ],
     )
     def test_input_errors_exit_2(self, base, argv):

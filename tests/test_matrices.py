@@ -60,6 +60,13 @@ class TestSquareMatrix:
         with pytest.raises(NonFiniteError):
             SquareMatrix.from_rows([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("huge", [10**400, -10**400], ids=["10**400", "-10**400"])
+    def test_an_integer_entry_past_float64_is_non_finite(self, huge):
+        # It used to raise numpy's bare OverflowError.
+        for build in (SquareMatrix.from_rows, SquareMatrix, lambda rows: SquareMatrix(np.array(rows, dtype=object))):
+            with pytest.raises(NonFiniteError, match="^matrix entries must be finite$"):
+                build([[1, -1], [-1, huge]])
+
     def test_entries_are_immutable(self, l1):
         with pytest.raises(ValueError):
             l1.entries[0, 0] = 99.0

@@ -1,6 +1,8 @@
-"""One tolerance rule, one integer rule and one link rule across the public functions."""
+"""One tolerance rule, one integer rule, one float rule and one link rule across the public functions."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from isoconn import (
+    Agent,
+    AgentConfiguration,
     DegenerateFiedlerError,
+    EmptyGridError,
     GridSpec,
     LaplacianValidation,
     NonSymmetricError,
+    NotBijectionError,
+    SpectralDecomposition,
     SquareMatrix,
     adjacency_weight,
     algebraic_connectivity,
@@ -21,6 +28,8 @@ from isoconn import (
     build_laplacian,
     connectivity_differential,
     dense_family_laplacian,
+    dense_family_spectrum,
+    dense_family_validity,
     fiedler_null_space_check,
     integrate_connectivity_change,
     is_connected,
@@ -28,6 +37,7 @@ from isoconn import (
     iso_connectivity_zone,
     laplacian_motion_derivative,
     mirror_moves,
+    ones_axis_rotation,
     permutation_family,
     permutation_matrix,
     relabel_configuration,
@@ -57,6 +67,7 @@ TOL_CALLS = {
     "integrate_connectivity_change": lambda tol: integrate_connectivity_change(
         TRIANGLE, 2, [(1.0, math.sqrt(3.0)), (1.5, 2.5)], 20, gap_tol=tol
     ),
+    "symmetric_eigendecomposition": lambda tol: symmetric_eigendecomposition(L, symmetry_tol=tol),
 }
 
 
@@ -68,6 +79,7 @@ TOL_CALLS = {
         (math.nan, "tol must be finite, got nan"),
         (0.0, "tol must be positive"),
         (-1.0, "tol must be positive"),
+        pytest.param(10**400, "tol must be finite, got inf", id="10**400"),
     ],
 )
 def test_bad_tol_rejected(name, tol, message):
@@ -85,6 +97,11 @@ def test_non_finite_tol_cannot_pass_or_fail_everything():
         validate_iso_transform(SquareMatrix.from_rows([[2, 0], [0, 7]]), math.inf)
     with pytest.raises(ValueError):
         is_isospectral(L, L, math.nan)
+    # An unchecked symmetry_tol accepted this matrix and returned the
+    # eigensystem of its symmetrisation, residual 2.83.
+    for symmetry_tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^symmetry_tol must be finite"):
+            symmetric_eigendecomposition(SquareMatrix.from_rows([[1, 5], [-3, 1]]), symmetry_tol=symmetry_tol)
 
 
 # The scale of a tolerance: every structural check of a matrix allows tol
@@ -422,3 +439,130 @@ def test_adjacency_weight_is_the_adjacency_entry(distance, sigma, comm_range):
 def test_adjacency_weight_refuses_a_non_finite_decay_rate_or_distance(distance, sigma, comm_range):
     with pytest.raises(ValueError):
         adjacency_weight(distance, sigma, comm_range)
+
+
+# A caller's integer past 4300 digits in an error message used to raise
+# Python's own ValueError for the int-to-str conversion instead.
+HUGE_INT_CALLS = {
+    "steps": (lambda: integrate_connectivity_change(CONFIG, 2, [(1.0, 2.0), (1.5, 2.0)], 10**5000), ValueError),
+    "mirror_moves": (lambda: mirror_moves(CONFIG, 10**5000), IndexError),
+    "nx": (lambda: GridSpec(0, 1, 0, 1, -10**5000, 1), EmptyGridError),
+    "ny": (lambda: GridSpec(0, 1, 0, 1, 1, 10**5000), ValueError),
+    "permutation": (lambda: permutation_matrix([0, 10**5000]), NotBijectionError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_INT_CALLS))
+def test_a_huge_integer_in_a_message_is_shown_by_its_size(name):
+    call, error = HUGE_INT_CALLS[name]
+    with pytest.raises(error, match="a (negative )?16610-bit integer"):
+        call()
+
+
+# The float rule: every public float parameter takes a Python float, an int,
+# or a numpy floating or integer scalar as the equal Python float, and
+# refuses a bool or a string with a ValueError naming it.  Each row is
+# (call of the value, name in the message, a fraction for the float kinds,
+# an integer for the integer kinds).
+TWO = (Agent("a1", 0.0, 0.0), Agent("a2", 1.0, 0.0))
+ZONE_GRID = GridSpec(0.0, 4.0, 1.0, 3.0, 2, 1)
+
+
+def json_config(key, value, agent=None):
+    data = CONFIG.to_json_dict()
+    (data if agent is None else data["agents"][agent])[key] = value
+    return AgentConfiguration.from_json_dict(data)
+
+
+FLOAT_CALLS = {
+    "Agent.x": (lambda v: AgentConfiguration((Agent("a1", v, 0.0), TWO[1]), 1.0, 10.0), "agents[0].x", 0.3, 2),
+    "Agent.y": (lambda v: AgentConfiguration((TWO[0], Agent("a2", 1.0, v)), 1.0, 10.0), "agents[1].y", 0.3, 2),
+    "sigma": (lambda v: AgentConfiguration(TWO, v, 10.0), "sigma", 0.3, 2),
+    "comm_range": (lambda v: AgentConfiguration(TWO, 1.0, v), "comm_range", 1.3, 3),
+    "from_json_dict.sigma": (lambda v: json_config("sigma", v), "sigma", 0.3, 2),
+    "from_json_dict.range": (lambda v: json_config("range", v), "comm_range", 1.3, 3),
+    "from_json_dict.x": (lambda v: json_config("x", v, 2), "agents[2].x", 0.3, 2),
+    "with_position.x": (lambda v: CONFIG.with_position(2, v, 2.0), "agents[2].x", 0.3, 2),
+    "with_position.y": (lambda v: CONFIG.with_position(2, 1.0, v), "agents[2].y", 0.3, 2),
+    "adjacency_weight.distance": (lambda v: adjacency_weight(v, 1.1, 2.0), "distance", 0.3, 1),
+    "adjacency_weight.sigma": (lambda v: adjacency_weight(0.5, v, 2.0), "sigma", 1.1, 2),
+    "adjacency_weight.comm_range": (lambda v: adjacency_weight(0.5, 1.1, v), "comm_range", 1.3, 2),
+    "GridSpec.xmin": (lambda v: GridSpec(v, 4.0, 1.0, 3.0, 2, 1), "xmin", 0.3, 1),
+    "GridSpec.xmax": (lambda v: GridSpec(0.0, v, 1.0, 3.0, 2, 1), "xmax", 3.3, 4),
+    "GridSpec.ymin": (lambda v: GridSpec(0.0, 4.0, v, 3.0, 2, 1), "ymin", 0.3, 1),
+    "GridSpec.ymax": (lambda v: GridSpec(0.0, 4.0, 1.0, v, 2, 1), "ymax", 3.3, 3),
+    "iso_connectivity_zone.target": (lambda v: iso_connectivity_zone(CONFIG, 2, ZONE_GRID, target=v, tol=0.5), "target", 3.3, 3),
+    "iso_connectivity_zone.tol": (lambda v: iso_connectivity_zone(CONFIG, 2, ZONE_GRID, tol=v), "tol", 0.3, 1),
+    "dense_family_laplacian.alpha": (lambda v: dense_family_laplacian(v, 2), "alpha", 0.3, 3),
+    "dense_family_laplacian.beta": (lambda v: dense_family_laplacian(2, v), "beta", 0.3, 3),
+    "dense_family_spectrum.alpha": (lambda v: dense_family_spectrum(v, 2), "alpha", 0.3, 3),
+    "dense_family_validity.alpha": (lambda v: dense_family_validity(v, 2), "alpha", 0.3, 3),
+    "dense_family_validity.beta": (lambda v: dense_family_validity(2, v), "beta", 0.3, 3),
+    "dense_family_validity.tol": (lambda v: dense_family_validity(2, 3, v), "tol", 0.3, 1),
+    "validate_laplacian.tol": (lambda v: validate_laplacian(L, v), "tol", 0.3, 1),
+    "algebraic_connectivity.tol": (lambda v: algebraic_connectivity(L, v), "tol", 0.3, 1),
+    "validate_iso_transform.tol": (lambda v: validate_iso_transform(Q, v), "tol", 0.3, 1),
+    "similarity_transform.tol": (lambda v: similarity_transform(L, Q, v), "tol", 0.3, 1),
+    "is_isospectral.tol": (lambda v: is_isospectral(L, L, v), "tol", 0.3, 1),
+    "fiedler_null_space_check.tol": (lambda v: fiedler_null_space_check(L, L, v), "tol", 0.3, 1),
+    "connectivity_differential.tol": (lambda v: connectivity_differential(L, V, v), "tol", 0.3, 1),
+    "SquareMatrix.isclose.tol": (lambda v: L.isclose(Q, v), "tol", 0.3, 1),
+    "symmetric_eigendecomposition.symmetry_tol": (lambda v: symmetric_eigendecomposition(L, v), "symmetry_tol", 0.3, 1),
+    "integrate_connectivity_change.gap_tol": (
+        lambda v: integrate_connectivity_change(AgentConfiguration(TWO, 1.0, 10.0), 1, [(1.0, 0.0), (1.5, 0.0)], 3, v),
+        "gap_tol",
+        0.3,
+        1,
+    ),
+    "integrate_connectivity_change.waypoint": (
+        lambda v: integrate_connectivity_change(CONFIG, 2, [(v, 2.0), (1.5, 2.0)], 3), "waypoint 0 x", 0.3, 1
+    ),
+    "ones_axis_rotation.theta": (lambda v: ones_axis_rotation(4, v), "theta", 0.3, 1),
+    "laplacian_motion_derivative.direction": (lambda v: laplacian_motion_derivative(CONFIG, 2, (v, 1.0)), "direction", 0.3, 2),
+}
+
+
+def outcome(call, value):
+    """What a call of ``value`` gives, comparable bit for bit: its JSON text, a repr or the error."""
+    try:
+        result = call(value)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    if isinstance(result, SpectralDecomposition):
+        return result.eigenvalues.tobytes(), result.eigenvectors.tobytes(), result.residual.hex()
+    if hasattr(result, "to_json_dict"):
+        # A numpy scalar in a result would make this raise TypeError.
+        return json.dumps(result.to_json_dict(), sort_keys=True)
+    return repr(result)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, np.int64, np.uint8, int])
+def test_numbers_keep_the_bits_of_the_equal_python_float(name, kind):
+    # A float32 sigma, range, tol or grid bound used to compute in float32 and
+    # to make json.dumps of the result raise TypeError.
+    call, _, fraction, whole = FLOAT_CALLS[name]
+    value = kind(fraction) if issubclass(kind, np.floating) else kind(whole)
+    want = outcome(call, float(value))
+    assert isinstance(want, (str, tuple)) and not isinstance(want[0], type), want
+    assert outcome(call, value) == want
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+@pytest.mark.parametrize("value", [True, False, "2", 1j, [1.0]])
+def test_non_numbers_are_refused_by_name(name, value):
+    # True used to run as 1, as a tolerance and as a dense-family parameter.
+    call, label, _, _ = FLOAT_CALLS[name]
+    with pytest.raises(ValueError, match=re.escape(label)):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_integer_past_float64_meets_the_check_of_inf(name, sign):
+    # It used to raise a bare OverflowError from every parameter outside the
+    # dense family.
+    call, _, _, _ = FLOAT_CALLS[name]
+    got = outcome(call, sign * 10**400)
+    assert got == outcome(call, sign * math.inf)
+    assert not (isinstance(got, tuple) and got[0] is OverflowError)

@@ -266,10 +266,17 @@ class TestConfigurationJson:
     )
     def test_an_integer_beyond_float64_names_its_field(self, field, agent, key):
         # JSON reads 1 followed by 400 zeros as an int; float() of it used to
-        # raise a bare OverflowError.
+        # raise a bare OverflowError.  By the float rule it is inf, and meets
+        # the check inf meets.
+        messages = {
+            "sigma": "sigma must be finite, got inf",
+            "range": "comm_range must be finite, got inf",
+            "agents[1].x": "agent 'a2' has a non-finite position",
+            "agents[0].y": "agent 'a1' has a non-finite position",
+        }
         data = make_config([(0.0, 1.0), (2.0, 3.0)]).to_json_dict()
         (data if agent is None else data["agents"][agent])[key] = 10**400
-        with pytest.raises(ValueError, match=rf"^{re.escape(field)} overflows float64$"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(messages[field])}$"):
             AgentConfiguration.from_json_dict(data)
 
     @pytest.mark.parametrize(
