@@ -129,7 +129,7 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
-        return cls(np.eye(n))
+        return cls(np.eye(_as_int(n, "n")))
 
     def isclose(self, other: "SquareMatrix", tol: float) -> bool:
         """Element-wise equality within absolute tolerance ``tol``."""
@@ -639,9 +639,11 @@ def ones_axis_rotation(n: int, theta: float) -> SquareMatrix:
     theta = 0.  Requires n >= 3: for n = 2 the only row-sum-1 orthonormal
     matrices are the two permutation matrices, leaving nothing to rotate.
     """
+    n, theta = _as_int(n, "n"), _as_float(theta, "theta")
     if n < 3:
         raise OrderTooSmallError("ones-axis rotations need order >= 3")
-    theta = _as_float(theta, "theta")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     u = np.zeros(n)
     u[0], u[1] = 1.0, -1.0
     u /= math.sqrt(2.0)

@@ -222,19 +222,6 @@ class MoveSolution:
         return not self.preserved_neighbors
 
 
-def _collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
-    if points.shape[0] <= 2:
-        return True
-    base = points[0]
-    d = points[1] - base
-    d = d / np.hypot(d[0], d[1])
-    for p in points[2:]:
-        r = p - base
-        if not abs(d[0] * r[1] - d[1] * r[0]) <= tol * max(1.0, float(np.hypot(r[0], r[1]))):
-            return False
-    return True
-
-
 def _reflect_across_line(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = b - a
     d = d / np.hypot(d[0], d[1])
@@ -242,15 +229,25 @@ def _reflect_across_line(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     return a + 2.0 * float(v @ d) * d - v
 
 
+# A move must keep every preserved neighbor's distance, and leave the current
+# position, to within this fraction of the distances it is judged by.  A circle
+# witness rounds to an ulp of its centre: 1e-12 would drop the witnesses of a
+# centre some 3e4 radii from the origin, 1e-9 only past about 3e7.
+_MOVE_TOL = 1e-9
+
+
 # A witness or reflection near the float64 limit may overflow; kept() drops it.
 @np.errstate(over="ignore", invalid="ignore")
 def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
     """Alternative positions for one agent that leave the Laplacian unchanged.
 
-    Every in-range neighbor pins the agent to a circle; the intersection of the
-    circles (minus the current position) is returned, keeping only finite
-    candidates with the current position's links.  Three or more
-    non-collinear neighbors pin the agent completely.
+    Every in-range neighbor pins the agent to a circle: a candidate is kept
+    only if it is finite, has the current position's links, keeps every
+    neighbor's distance within ``_MOVE_TOL`` times that distance and lies
+    more than ``_MOVE_TOL`` times the shortest one from the current position.
+    The candidates are witness points on the circle of a single neighbor, or
+    else the reflection across the line of the first two neighbors, which a
+    third neighbor off that line refuses.
     """
     pos = config.positions()
     mobile = _check_agent(mobile, len(pos))
@@ -262,36 +259,24 @@ def mirror_moves(config: AgentConfiguration, mobile: int) -> MoveSolution:
 
     current = links(p0[None])
     neighbors = tuple(np.nonzero(current[0])[0].tolist())
-
-    def kept(candidates: np.ndarray) -> tuple[tuple[float, float], ...]:
-        same = (links(candidates) == current).all(axis=1)
-        return tuple(map(tuple, candidates[np.isfinite(candidates).all(axis=1) & same].tolist()))
-
     if not neighbors:
         return MoveSolution(original, (), ())
+    anchors = pos[list(neighbors)]
+    radii = _distances(p0, anchors)
 
-    if len(neighbors) == 1:
-        center = pos[neighbors[0]]
-        radius = float(_distances(p0[None], center[None])[0])
-        phi0 = math.atan2(p0[1] - center[1], p0[0] - center[0])
-        phis = [phi0 + 2.0 * math.pi * k / 8 for k in range(1, 8)]
-        cands = center + radius * np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
-        return MoveSolution(
-            original,
-            kept(cands),
-            neighbors,
-            circle=Circle((float(center[0]), float(center[1])), radius),
-        )
+    def kept(candidates: np.ndarray) -> tuple[tuple[float, float], ...]:
+        keep = np.isfinite(candidates).all(axis=1) & (links(candidates) == current).all(axis=1)
+        keep &= (np.abs(_distances(candidates[:, None], anchors) - radii) <= _MOVE_TOL * radii).all(axis=1)
+        keep &= _distances(candidates, p0) > _MOVE_TOL * radii.min()
+        return tuple(map(tuple, candidates[keep].tolist()))
 
-    anchor_pts = pos[list(neighbors)]
-    if not _collinear(anchor_pts):
-        return MoveSolution(original, (), neighbors)
-    mirrored = _reflect_across_line(p0, anchor_pts[0], anchor_pts[1])
-    _, scale, shift = _tol_scale(anchor_pts - p0)
-    if math.ldexp(float(np.hypot(*(mirrored - p0))), -shift) <= 1e-9 * scale:
-        # Agent sits on the neighbor line: the circles touch instead of crossing.
-        return MoveSolution(original, (), neighbors)
-    return MoveSolution(original, kept(mirrored[None]), neighbors)
+    if len(neighbors) > 1:
+        return MoveSolution(original, kept(_reflect_across_line(p0, anchors[0], anchors[1])[None]), neighbors)
+    center, radius = anchors[0], float(radii[0])
+    phi0 = math.atan2(p0[1] - center[1], p0[0] - center[0])
+    phis = [phi0 + 2.0 * math.pi * k / 8 for k in range(1, 8)]
+    cands = center + radius * np.array([[math.cos(phi), math.sin(phi)] for phi in phis])
+    return MoveSolution(original, kept(cands), neighbors, circle=Circle((float(center[0]), float(center[1])), radius))
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,8 @@ class AgentConfiguration:
     def with_position(self, index: int, x: float, y: float) -> "AgentConfiguration":
         """Copy of the configuration with one agent moved."""
         agents = list(self.agents)
-        old = agents[index]
-        agents[index] = Agent(old.id, x, y)
+        index = _check_agent(index, len(agents))
+        agents[index] = Agent(agents[index].id, x, y)
         return AgentConfiguration(tuple(agents), self.sigma, self.comm_range)
 
     def to_json_dict(self) -> dict:
@@ -142,15 +142,25 @@ def _check_agent(index: int, n: int) -> int:
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lengths of ``a - b`` (..., 2), at least 2-d: sqrt(dx*dx + dy*dy) where that sum is normal, else hypot."""
+    """Lengths of ``a - b`` (..., 2), at least 2-d: sqrt(dx*dx + dy*dy).
+
+    Where that sum is zero, subnormal or inf, dx and dy are first scaled by
+    2^-e, e the exponent of the larger |component|, and the root by 2^e: exact
+    scalings, so a length scales with its positions by any power of two that
+    keeps the differences normal floats.
+    """
     with np.errstate(over="ignore", under="ignore"):
         diff = a - b
         dx, dy = diff[..., 0], diff[..., 1]
         sq = dx * dx + dy * dy
         dist = np.sqrt(sq)
         odd = (sq < sys.float_info.min) | (sq == np.inf)
-        if odd.any():
-            dist[odd] = np.hypot(dx[odd], dy[odd])
+        # Zero differences, the only odd lanes a Laplacian build meets, already have their exact 0.
+        if odd.any() and diff[odd].any():
+            x, y = dx[odd], dy[odd]
+            e = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1]
+            x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+            dist[odd] = np.ldexp(np.sqrt(x * x + y * y), e)
     return dist
 
 

@@ -150,6 +150,10 @@ class TestCapturedStdout:
             # The pair times 1e6: its spectra agree to about 1e-9 of the entries.
             (["isospectral", "--matrix", "cli_l1_x1e6.json", "--matrix", "cli_l2_x1e6.json"],
              "isospectral_l1_l2_x1e6_full.json"),
+            # Three collinear neighbors and a bystander: one reflection.
+            (["moves", "--input", "cli_moves_line.json", "--mobile", "m"], "moves_line_full.json"),
+            # One neighbor: the circle, and the witnesses the bystander leaves.
+            (["moves", "--input", "cli_moves_circle.json", "--mobile", "m"], "moves_circle_full.json"),
         ],
     )
     def test_stdout_bytes_unchanged(self, capsys, argv, golden):

@@ -741,6 +741,25 @@ class TestOnesAxisRotation:
         with pytest.raises(OrderTooSmallError):
             ones_axis_rotation(2, 0.3)
 
+    def test_an_integral_float_order(self):
+        # n = 3.0 used to raise numpy's TypeError.
+        assert ones_axis_rotation(3.0, 0.4).equals(ones_axis_rotation(3, 0.4))
+        assert SquareMatrix.identity(3.0).equals(SquareMatrix.identity(3))
+
+    @pytest.mark.parametrize("n", [True, 3.5, "3"])
+    def test_the_order_follows_the_integer_rule(self, n):
+        # ones_axis_rotation(True, ...) used to be an OrderTooSmallError.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ones_axis_rotation(n, 0.4)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SquareMatrix.identity(n)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_angle(self, theta):
+        # inf used to raise "math domain error" from math.cos.
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ones_axis_rotation(4, theta)
+
     @given(n=st.integers(3, 9), k=st.integers(-12, 12))
     @settings(max_examples=40, deadline=None)
     def test_always_validates(self, n, k):

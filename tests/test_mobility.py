@@ -336,6 +336,27 @@ class TestMirrorMoves:
         solution = mirror_moves(config, 3)
         assert solution.alternatives == ((1.0, -1.5),)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-9, 1e-10, 1e-12])
+    def test_a_third_neighbor_off_the_line_pins_the_agent_at_every_scale(self, s):
+        # At s = 1e-10 an absolute collinearity floor took the three
+        # neighbors for collinear and returned (3e-11, -4e-9), a move that
+        # changes the Laplacian by 0.0134.
+        config = make_config([(0.0, 0.0), (s, 0.0), (0.0, s), (0.3 * s, 40.0 * s)], comm_range=100.0 * s)
+        solution = mirror_moves(config, 3)
+        assert solution.preserved_neighbors == (0, 1, 2)
+        assert solution.alternatives == ()
+
+    @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-9, 1e-10, 1e-12, 1e-100, 1e100, 1e300])
+    def test_three_collinear_neighbors_reflect_at_every_scale(self, s):
+        # An absolute floor on the agent's distance from the line lost this
+        # mirror at s <= 1e-9.
+        config = make_config([(0.0, 0.0), (s, 0.0), (2.0 * s, 0.0), (0.3 * s, 0.4 * s)], comm_range=100.0 * s)
+        solution = mirror_moves(config, 3)
+        assert solution.alternatives == ((0.3 * s, -0.4 * s),)
+        base = build_laplacian(config).entries
+        moved = build_laplacian(config.with_position(3, *solution.alternatives[0])).entries
+        assert np.abs(moved - base).max() <= 1e-12 * np.abs(base).max()
+
     def test_single_neighbor_gives_circle(self):
         config = make_config([(0.0, 0.0), (3.0, 0.0), (40.0, 0.0)], comm_range=5.0)
         solution = mirror_moves(config, 1)

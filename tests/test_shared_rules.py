@@ -446,6 +446,7 @@ def test_adjacency_weight_refuses_a_non_finite_decay_rate_or_distance(distance, 
 HUGE_INT_CALLS = {
     "steps": (lambda: integrate_connectivity_change(CONFIG, 2, [(1.0, 2.0), (1.5, 2.0)], 10**5000), ValueError),
     "mirror_moves": (lambda: mirror_moves(CONFIG, 10**5000), IndexError),
+    "with_position": (lambda: CONFIG.with_position(10**5000, 1.0, 2.0), IndexError),
     "nx": (lambda: GridSpec(0, 1, 0, 1, -10**5000, 1), EmptyGridError),
     "ny": (lambda: GridSpec(0, 1, 0, 1, 1, 10**5000), ValueError),
     "permutation": (lambda: permutation_matrix([0, 10**5000]), NotBijectionError),

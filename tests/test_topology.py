@@ -251,6 +251,15 @@ class TestLaplacianProperties:
         assert np.abs(j.T @ build_laplacian(config).entries @ j - direct).max() <= 1e-13
 
 
+class TestWithPosition:
+    @pytest.mark.parametrize("index,error", [(True, ValueError), (-1, IndexError), (3, IndexError), (1.5, ValueError)])
+    def test_index_follows_the_agent_index_rule(self, index, error):
+        # True used to move agent 1, and -1 the last agent.
+        config = make_config([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+        with pytest.raises(error, match="agent index"):
+            config.with_position(index, 5.0, 6.0)
+
+
 class TestConfigurationJson:
     def test_round_trip(self):
         config = make_config([(0.0, 1.0), (2.0, 3.0)], sigma=2.5, comm_range=7.0)
