@@ -129,7 +129,10 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
-        return cls(np.eye(_as_int(n, "n")))
+        n = _as_int(n, "n")
+        if n < 1:
+            raise ValueError("matrix order must be >= 1")
+        return cls(np.eye(n))
 
     def isclose(self, other: "SquareMatrix", tol: float) -> bool:
         """Element-wise equality within absolute tolerance ``tol``."""

@@ -142,8 +142,9 @@ def laplacian_motion_derivative(
 ) -> SquareMatrix:
     """Derivative of the Laplacian as one agent moves at unit speed along ``direction``.
 
-    Differentiates the in-range exponential weights analytically; out-of-range
-    links contribute zero.  At the range boundary itself the in-range branch is
+    Differentiates the in-range exponential weights analytically, reading
+    each weight from the Laplacian (``_link_rates``); out-of-range links
+    contribute zero.  At the range boundary itself the in-range branch is
     used (the model is one-sided there).  ``direction`` must be two finite
     numbers, not both zero.
     """
@@ -158,42 +159,38 @@ def laplacian_motion_derivative(
     big = float(np.abs(u).max())
     if big == 0.0:
         raise ValueError("direction must be nonzero")
-    # A power of two scales hypot exactly; needed only where it overflows or rounds a subnormal.
-    if not 2.0**-1021 <= big <= 2.0**1021:
-        u = np.ldexp(u, -math.frexp(big)[1])
-    u = u / float(np.hypot(u[0], u[1]))
-    linked = _moved_laplacians(pos, mobile, pos[[mobile]], config.sigma, config.comm_range)[:, mobile] < 0.0
-    rate = config.sigma / config.comm_range
-    return SquareMatrix(_motion_derivative_stack(pos, mobile, pos[[mobile]], u[None], linked, rate)[0])
+    # Scaling by a power of two is exact: every power-of-two multiple of a direction gives the same unit.
+    u = np.ldexp(u, -math.frexp(big)[1])
+    u = u / _distances(u[None], np.zeros(2))
+    laps = _moved_laplacians(pos, mobile, pos[[mobile]], config.sigma, config.comm_range)
+    da = _link_rates(pos, mobile, pos[[mobile]], u[None], laps, config.sigma / config.comm_range)[0]
+    # Non-links are exactly +0.0, a link's degree entry 0.0 + da (never -0.0)
+    # and the mobile agent's degree their sum, left to right.
+    d = np.diag(0.0 + da)
+    d[mobile] = d[:, mobile] = np.where(laps[0, mobile] < 0.0, -da, 0.0)
+    d[mobile, mobile] = np.cumsum(d.diagonal())[-1]
+    return SquareMatrix(d)
 
 
-def _motion_derivative_stack(
-    pos: np.ndarray, mobile: int, points: np.ndarray, units: np.ndarray, linked: np.ndarray, rate: float
+def _link_rates(
+    pos: np.ndarray, mobile: int, points: np.ndarray, units: np.ndarray, laps: np.ndarray, rate: float
 ) -> np.ndarray:
-    """Laplacian derivatives (G, n, n) of ``pos`` (n, 2) with agent ``mobile`` at ``points[g]`` moving along ``units[g]``.
+    """Rates (G, n) at which the mobile agent's link weights change, at ``points[g]`` moving along ``units[g]``.
 
-    ``linked`` (G, n) flags its links, the negative entries of its row in
-    ``_moved_laplacians``; ``rate`` is sigma / comm_range.  Each slice is
-    bit-identical to differentiating those links one at a time in agent
-    order: ``math.exp`` per link (``np.exp`` rounds differently),
-    ``np.vecdot`` for the 2-vector dot (the BLAS dot of ``rel @ unit``; a
-    multiply-and-add rounds differently), the link's degree entries as
-    ``0.0 + da`` (no negative zero) and the mobile agent's degree summed left
-    to right.
+    ``pos`` (n, 2) holds the agents, ``laps`` (G, n, n) the Laplacians of
+    ``_moved_laplacians`` at ``points`` and ``rate`` is sigma / comm_range.
+    Link j's weight w_j = -laps[g, mobile, j] is exp(-rate * d_j), so its
+    rate is w_j * (-rate) * (r_j . u) / d_j, with r_j the offset from agent j,
+    d_j its ``_distances`` length and the dot written out.  The rate is 0
+    where w_j is not positive: no link, or the mobile agent's own (minus
+    degree) entry.
     """
-    g_count, n = len(points), len(pos)
-    g, j = np.nonzero(linked)
+    w = -laps[:, mobile]
+    g, j = np.nonzero(w > 0.0)
     rel = points[g] - pos[j]
-    dist = np.hypot(rel[:, 0], rel[:, 1])
-    decay = np.array(list(map(math.exp, ((-rate) * dist).tolist())))
-    da = decay * (-rate) * np.vecdot(rel, units[g]) / dist
-    d = np.zeros((g_count, n, n))
-    d[g, j, j] = 0.0 + da
-    d[g, j, mobile] = -da
-    d[g, mobile, j] = -da
-    diag = np.arange(n)
-    d[:, mobile, mobile] = np.cumsum(d[:, diag, diag], axis=1)[:, -1]
-    return d
+    da = np.zeros(w.shape)
+    da[g, j] = w[g, j] * (-rate) * (rel[:, 0] * units[g, 0] + rel[:, 1] * units[g, 1]) / _distances(points[g], pos[j])
+    return da
 
 
 @dataclass(frozen=True)
@@ -223,10 +220,9 @@ class MoveSolution:
 
 
 def _reflect_across_line(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    d = d / np.hypot(d[0], d[1])
+    d = (b - a) / _distances(b[None], a)[0]
     v = point - a
-    return a + 2.0 * float(v @ d) * d - v
+    return a + 2.0 * float(v[0] * d[0] + v[1] * d[1]) * d - v
 
 
 # A move must keep every preserved neighbor's distance, and leave the current
@@ -337,10 +333,12 @@ def integrate_connectivity_change(
     undefined.
 
     The end points and midpoints are solved in stacks of bounded size, so
-    memory does not grow with ``steps``.  A stack's solves, derivatives, range
+    memory does not grow with ``steps``.  A stack's solves, link rates, range
     flags, gap checks and quadrature forms are array operations, each
-    bit-identical to its point-by-point form; only the quadrature sum runs
-    point by point, in path order.
+    bit-identical to its point-by-point form.  A point's form f^T (dL) f is
+    the sum over agents j, left to right, of link j's rate times
+    (f_j - f_mobile)^2, so no dot product runs through BLAS; the quadrature
+    sum runs point by point, in path order.
     """
     steps = _as_int(steps, "steps")
     if steps < 1:
@@ -361,11 +359,9 @@ def integrate_connectivity_change(
     sigma, comm_range = config.sigma, config.comm_range
     ids = config.ids()
 
-    segments = []
-    for a, b in zip(pts, pts[1:]):
-        length = float(np.hypot(*(b - a)))
-        if length > 0.0:
-            segments.append((a, b, length))
+    vertices = np.array(pts).reshape(-1, 2)
+    lengths = _distances(vertices[1:], vertices[:-1]).tolist()
+    segments = [(a, b, length) for a, b, length in zip(pts, pts[1:], lengths) if length > 0.0]
     if not segments:
         return PathIntegralResult(0.0, 0.0)
 
@@ -435,10 +431,11 @@ def integrate_connectivity_change(
         # comparing each point with the start finds the same first crossings
         # as comparing consecutive points.
         note_crossings(np.nonzero(linked[n_ends:] != start_flags)[1])
-        dlap = _motion_derivative_stack(pos, mobile, points[n_ends:], unit, linked[n_ends:], sigma / comm_range)
+        rates = _link_rates(pos, mobile, points[n_ends:], unit, laps[n_ends:], sigma / comm_range)
         fiedler = vectors[n_ends:, :, 1]
-        # fiedler^T dlap fiedler, rounded as the 2-d product of one point.
-        forms = np.vecdot((fiedler[:, None, :] @ dlap)[:, 0, :], fiedler)
+        # f^T (dL) f = sum_j da_j (f_j - f_mobile)^2, summed in agent order.
+        spread = fiedler - fiedler[:, mobile, None]
+        forms = np.cumsum(rates * (spread * spread), axis=1)[:, -1]
         for step in (forms * h).tolist():
             integral += step
     note_crossings(np.nonzero(end_flags != start_flags)[0])

@@ -8,6 +8,7 @@ import pytest
 from isoconn import Agent, AgentConfiguration, SquareMatrix, is_connected
 from isoconn import matrices
 from isoconn.errors import ConvergenceError
+from isoconn.topology import _distances, _laplacian_from_positions
 
 # Base four-agent Laplacian (complete graph minus the 2-4 link, unit weights)
 # and its two relabeling conjugates.
@@ -262,20 +263,23 @@ def _motion_derivative(
 ) -> np.ndarray:
     """The Laplacian derivative of one position set, one link at a time in agent order.
 
-    The reference the stacked derivative builder is held to bit for bit.
+    A link's weight w is read off the position set's Laplacian; its rate is
+    w * (-sigma / comm_range) * (r . unit) / d, with r the mobile agent's
+    offset from the linked agent and d its distance.  The reference the
+    derivative builder and the path quadrature are held to bit for bit.
     """
+    lap = _laplacian_from_positions(pos, sigma, comm_range)
     n = pos.shape[0]
     d = np.zeros((n, n))
     rate = sigma / comm_range
     total = 0.0
     for j in range(n):
-        if j == mobile:
+        w = -float(lap[mobile, j])
+        if j == mobile or not w > 0.0:
             continue
-        rel = pos[mobile] - pos[j]
-        dist = float(np.hypot(rel[0], rel[1]))
-        if dist > comm_range:
-            continue
-        da = math.exp(-rate * dist) * (-rate) * float(rel @ unit) / dist
+        rx, ry = (pos[mobile] - pos[j]).tolist()
+        dist = float(_distances(pos[mobile], pos[[j]])[0])
+        da = w * (-rate) * (rx * float(unit[0]) + ry * float(unit[1])) / dist
         d[j, j] += da
         d[j, mobile] = -da
         d[mobile, j] = -da

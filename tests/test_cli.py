@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 import xml.dom.minidom
 from pathlib import Path
@@ -376,21 +380,10 @@ class TestIntegrate:
         assert code == 1
         assert json.loads(err)["error"] == "DegenerateFiedler"
 
-    def test_multi_stack_path_stdout_unchanged(self, tmp_path, capsys):
+    def test_multi_stack_path_stdout_unchanged(self, capsys):
         # Order 8 and 600 steps: three stacks of solves and two range crossings.
         # The golden file holds the stdout of the one-solve-per-point walk.
-        points = [(3.2, 5.7), (2.2, 0.7), (7.8, 4.5), (5.2, 4.6), (3.8, 1.0), (2.5, 5.9), (7.3, 7.1), (7.6, 0.2)]
-        config = {
-            "sigma": 1.0,
-            "range": 4.0,
-            "agents": [{"id": f"a{i + 1}", "x": x, "y": y} for i, (x, y) in enumerate(points)],
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        path_file = tmp_path / "path.json"
-        path_file.write_text(
-            json.dumps({"mobile": "a1", "waypoints": [[3.2, 5.7], [5.9, 5.4], [5.0, 5.1]], "steps": 600})
-        )
+        config_path, path_file = DATA / "cli_integrate_config.json", DATA / "cli_integrate_path.json"
         argv = ["integrate", "--input", str(config_path), "--path", str(path_file), "--precision", "full"]
         code, out, _ = run(capsys, argv)
         assert code == 0
@@ -667,3 +660,23 @@ class TestCliContract:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["spectrum"] == [0.0, 2.0, 4.0, 4.0]
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64")
+    def test_byte_identical_across_blas_kernels(self):
+        # The path integral and mirror moves take no dot product through
+        # OpenBLAS, so its CPU-specific kernels cannot move their bits.
+        commands = [
+            ["integrate", "--input", DATA / "cli_integrate_config.json", "--path", DATA / "cli_integrate_path.json"],
+            ["moves", "--input", DATA / "cli_moves_line.json", "--mobile", "m"],
+        ]
+
+        def stdout(argv, coretype):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            cmd = [sys.executable, "-m", "isoconn", *argv, "--precision", "full"]
+            return subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+
+        for argv in commands:
+            want = stdout(argv, None)
+            assert [stdout(argv, coretype) for coretype in ("Prescott", "Nehalem")] == [want, want], argv[0]

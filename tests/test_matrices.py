@@ -67,6 +67,12 @@ class TestSquareMatrix:
             with pytest.raises(NonFiniteError, match="^matrix entries must be finite$"):
                 build([[1, -1], [-1, huge]])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_identity_refuses_an_order_below_one(self, n):
+        # identity(-1) used to raise numpy's "negative dimensions are not allowed".
+        with pytest.raises(ValueError, match=r"^matrix order must be >= 1$"):
+            SquareMatrix.identity(n)
+
     def test_entries_are_immutable(self, l1):
         with pytest.raises(ValueError):
             l1.entries[0, 0] = 99.0

@@ -215,14 +215,20 @@ class TestConnectivityDifferential:
 
 
 def reference_derivative(config, mobile, direction):
-    """The link-by-link derivative, with the direction normalised as the public call does."""
-    u = np.asarray(direction, dtype=float)
-    u = u / float(np.hypot(u[0], u[1]))
-    return _motion_derivative(config.positions(), config.sigma, config.comm_range, mobile, u)
+    """The link-by-link derivative, with the direction normalised as the public call does.
+
+    The direction is scaled by a power of two that brings its larger
+    component into [0.5, 1), then divided by its length.
+    """
+    x, y = map(float, direction)
+    e = math.frexp(max(abs(x), abs(y)))[1]
+    x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+    length = math.sqrt(x * x + y * y)
+    return _motion_derivative(config.positions(), config.sigma, config.comm_range, mobile, (x / length, y / length))
 
 
 class TestMotionDerivativeStack:
-    """The stacked derivative builder against the link-by-link loop, bit for bit."""
+    """The derivative and the stacked link rates against the link-by-link loop, bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
     def test_random_configurations(self, n):
@@ -243,13 +249,43 @@ class TestMotionDerivativeStack:
         points = rng.uniform(-1.0, 7.0, size=(200, 2))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=200)
         units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        linked = _moved_laplacians(pos, mobile, points, sigma, comm_range)[:, mobile] < 0.0
-        got = mobility._motion_derivative_stack(pos, mobile, points, units, linked, sigma / comm_range)
+        laps = _moved_laplacians(pos, mobile, points, sigma, comm_range)
+        got = mobility._link_rates(pos, mobile, points, units, laps, sigma / comm_range)
         work = np.repeat(pos[None], 200, axis=0)
         work[:, mobile] = points
+        linked = laps[:, mobile] < 0.0
+        assert 0 < linked.sum() < 200 * (n - 1)
         for g in range(200):
-            want = _motion_derivative(work[g], sigma, comm_range, mobile, units[g])
+            want = np.where(linked[g], -_motion_derivative(work[g], sigma, comm_range, mobile, units[g])[mobile], 0.0)
             assert got[g].tobytes() == want.tobytes(), g
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_central_differences_of_the_laplacian(self, seed):
+        # An oracle that shares no formula with the derivative: the Laplacian
+        # built at the mobile agent moved by +-h, differenced.  Agents within
+        # 2h of the range boundary would see the weight jump, so they are
+        # skipped.
+        rng = np.random.default_rng([seed, 53])
+        n = int(rng.integers(3, 9))
+        comm_range = (2.0, 4.0, 100.0)[seed % 3]
+        config = make_config(rng.uniform(0.0, 3.0, size=(n, 2)), sigma=1.3, comm_range=comm_range)
+        h = 1e-6 * comm_range
+        pos = config.positions()
+        checked = 0
+        for mobile in range(n):
+            gaps = np.abs(np.hypot(*(pos - pos[mobile]).T) - comm_range)
+            if (gaps < 2.0 * h).any():
+                continue
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            ux, uy = math.cos(angle), math.sin(angle)
+            x, y = pos[mobile].tolist()
+            plus = build_laplacian(config.with_position(mobile, x + h * ux, y + h * uy)).entries
+            minus = build_laplacian(config.with_position(mobile, x - h * ux, y - h * uy)).entries
+            fd = (plus - minus) / (2.0 * h)
+            got = laplacian_motion_derivative(config, mobile, (ux, uy)).entries
+            assert np.abs(got - fd).max() <= 1e-6 * np.abs(got).max(), mobile
+            checked += bool(got.any())
+        assert checked >= 2
 
     def test_link_exactly_at_range(self):
         # hypot(3, 4) is exactly 5: the boundary link takes the in-range branch.
@@ -513,7 +549,10 @@ def one_solve_per_point(config, mobile, waypoints, steps, gap_tol=1e-6):
     """The path integral with one _eigh_core solve per evaluation point, in path order.
 
     This is the walk the stacked solves must reproduce bit for bit: the ends
-    are solved and gap-checked first, then each midpoint in turn.
+    are solved and gap-checked first, then each midpoint in turn.  A point's
+    links are the negative entries of the mobile agent's Laplacian row, and
+    its quadrature form is the sum over linked agents j, in agent order, of
+    the link's rate times (f_j - f_mobile)^2 for the Fiedler vector f.
     """
     pos = config.positions()
     pts = [np.array([float(w[0]), float(w[1])]) for w in waypoints]
@@ -521,7 +560,8 @@ def one_solve_per_point(config, mobile, waypoints, steps, gap_tol=1e-6):
     ids = config.ids()
     segments = []
     for a, b in zip(pts, pts[1:]):
-        length = float(np.hypot(*(b - a)))
+        dx, dy = (b - a).tolist()
+        length = math.sqrt(dx * dx + dy * dy)
         if length > 0.0:
             segments.append((a, b, length))
     if not segments:
@@ -539,27 +579,21 @@ def one_solve_per_point(config, mobile, waypoints, steps, gap_tol=1e-6):
         bound = gap_tol * max(1.0, float(np.abs(lap).max()))
         if gap < bound:
             raise DegenerateFiedlerError(f"eigenvalue gap {gap:.3e} below {bound:.3e} {where}")
-        return work, float(w[1]), v[:, 1]
-
-    def flags_at(point):
-        flags = np.hypot(*(pos - point).T) <= comm_range
-        flags[mobile] = True
-        return flags
+        return work, lap[mobile] < 0.0, float(w[1]), v[:, 1].tolist()
 
     where = "at the path start"
-    _, lam_start, _ = solve(segments[0][0])
+    _, flags, lam_start, _ = solve(segments[0][0])
     where = "at the path end"
-    _, lam_end, _ = solve(segments[-1][1])
+    _, end_flags, lam_end, _ = solve(segments[-1][1])
     warnings, warned = [], set()
 
     def note(flags, new_flags):
         for j in np.nonzero(new_flags != flags)[0]:
-            if j != mobile and j not in warned:
+            if j not in warned:
                 warned.add(int(j))
                 warnings.append(f"range crossing: link to agent {ids[j]!r} changed state mid-path")
         return new_flags
 
-    flags = flags_at(segments[0][0])
     integral = 0.0
     for a, b, length in segments:
         unit = (b - a) / length
@@ -568,11 +602,15 @@ def one_solve_per_point(config, mobile, waypoints, steps, gap_tol=1e-6):
         for k in range(count):
             mid = a + (k + 0.5) * h * unit
             where = f"along the path (arc position {k + 0.5:.1f} of segment)"
-            work, _, fiedler = solve(mid)
-            dlap = _motion_derivative(work, sigma, comm_range, mobile, unit)
-            integral += float(fiedler @ dlap @ fiedler) * h
-            flags = note(flags, flags_at(mid))
-    note(flags, flags_at(segments[-1][1]))
+            work, new_flags, _, f = solve(mid)
+            rates = -_motion_derivative(work, sigma, comm_range, mobile, unit)[mobile]
+            form = 0.0
+            for j in np.nonzero(new_flags)[0].tolist():
+                spread = f[j] - f[mobile]
+                form += float(rates[j]) * (spread * spread)
+            integral += form * h
+            flags = note(flags, new_flags)
+    note(flags, end_flags)
     return mobility.PathIntegralResult(integral, lam_end - lam_start, tuple(warnings))
 
 

@@ -1,8 +1,10 @@
 """Position units must not matter: positions and range scaled by 2^k scale every answer by 2^k, bit for bit.
 
-Weights depend on distance / range only, so the Laplacian, its spectrum and
-the connectivity report keep their bits, and mirror moves scale with the
-positions, wherever the coordinates and their differences stay normal floats.
+Weights depend on distance / range only, so the Laplacian, its spectrum, the
+connectivity report, the path integral and the zone scan's connectivity
+levels keep their bits, mirror moves and zone points scale with the
+positions and motion derivatives by 2^-k, wherever the coordinates and their
+differences stay normal floats.
 """
 
 import contextlib
@@ -17,8 +19,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoconn import AgentConfiguration, algebraic_connectivity, build_laplacian, mirror_moves
+from isoconn import (
+    AgentConfiguration,
+    GridSpec,
+    algebraic_connectivity,
+    build_laplacian,
+    integrate_connectivity_change,
+    iso_connectivity_zone,
+    laplacian_motion_derivative,
+    mirror_moves,
+)
 from isoconn.cli import main
+from isoconn.errors import AnalysisError
 from isoconn.topology import _distances
 from conftest import geometric_config, make_config
 
@@ -73,23 +85,82 @@ def moves_at(config, k=0):
     return out
 
 
-def connectivity_stdout(config):
+def derivatives_at(config, k=0):
+    """Every agent's motion derivative along (1, -3), scaled back by 2^k, as bytes."""
+    return [
+        np.ldexp(laplacian_motion_derivative(config, mobile, (1.0, -3.0)).entries, k).tobytes()
+        for mobile in range(len(config.agents))
+    ]
+
+
+def path_at(config, k=0):
+    """The last agent's 40-step path integral along two segments of a 2^k-sized walk, or its error, as hex."""
+    x, y = config.positions()[-1].tolist()
+    waypoints = [(x, y), (x + math.ldexp(0.75, k), y + math.ldexp(0.5, k)), (x + math.ldexp(0.25, k), y - math.ldexp(0.5, k))]
+    try:
+        result = integrate_connectivity_change(config, len(config.agents) - 1, waypoints, 40)
+    except AnalysisError as exc:
+        return type(exc).__name__, str(exc)
+    return result.integral.hex(), result.direct.hex(), result.warnings
+
+
+def zone_at(config, k=0):
+    """A 6x6 zone scan of the first agent over the configuration's box, points scaled back by 2^-k, as hex."""
+    pos = config.positions()
+    (xmin, ymin), (xmax, ymax) = pos.min(axis=0), pos.max(axis=0)
+    grid = GridSpec(xmin - math.ldexp(1.0, k), xmax + math.ldexp(1.0, k), ymin - math.ldexp(1.0, k), ymax + math.ldexp(1.0, k), 6, 6)
+    sample = iso_connectivity_zone(config, 0, grid, tol=0.05)
+    return sample.target.hex(), [(math.ldexp(p.x, -k).hex(), math.ldexp(p.y, -k).hex(), p.lambda2.hex()) for p in sample.accepted]
+
+
+def cli_stdout(argv, config):
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config.to_json_dict()))
-        assert main(["connectivity", "--input", str(path), "--precision", "full"]) == 0
+        assert main([argv[0], "--input", str(path), *argv[1:], "--precision", "full"]) == 0
     return out.getvalue()
+
+
+def moves_stdout(config, k=0):
+    """Every agent's ``moves`` stdout; at k != 0 its positions are scaled back by 2^-k and printed as the CLI prints them."""
+    out = []
+    for agent in config.ids():
+        text = cli_stdout(["moves", "--mobile", agent], config)
+        if k:
+            data = json.loads(text)
+            data["alternatives"] = [[math.ldexp(v, -k) for v in p] for p in data["alternatives"]]
+            data["original"] = [math.ldexp(v, -k) for v in data["original"]]
+            if data["circle"] is not None:
+                circle = data["circle"]
+                circle["center"] = [math.ldexp(v, -k) for v in circle["center"]]
+                circle["radius"] = math.ldexp(circle["radius"], -k)
+            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        out.append(text)
+    return out
 
 
 @cache
 def unscaled(index):
     config = CONFIGS[index]
     laplacian = build_laplacian(config)
-    return laplacian.entries.tobytes(), algebraic_connectivity(laplacian).lambda2.hex(), moves_at(config)
+    return (
+        laplacian.entries.tobytes(),
+        algebraic_connectivity(laplacian).lambda2.hex(),
+        moves_at(config),
+        derivatives_at(config),
+        path_at(config),
+    )
 
 
-# The CLI's argument parsing costs more than its answer: its stdout is
-# checked for config7 and the first five seeded configurations.
+@cache
+def unscaled_cli(index):
+    config = CONFIGS[index]
+    return cli_stdout(["connectivity"], config), moves_stdout(config), zone_at(config)
+
+
+# The CLI's argument parsing costs more than its answer, and a zone scan
+# solves 36 Laplacians: CLI stdout and zone scans are checked for config7 and
+# the first five seeded configurations.
 CLI_CONFIGS = 6
 
 
@@ -102,10 +173,16 @@ def test_scaling_by_a_power_of_two_keeps_every_answer(k):
         big = scaled(config, k)
         assert normal(big), index
         laplacian = build_laplacian(big)
-        got = laplacian.entries.tobytes(), algebraic_connectivity(laplacian).lambda2.hex(), moves_at(big, k)
+        got = (
+            laplacian.entries.tobytes(),
+            algebraic_connectivity(laplacian).lambda2.hex(),
+            moves_at(big, k),
+            derivatives_at(big, k),
+            path_at(big, k),
+        )
         assert got == unscaled(index), index
         if index < CLI_CONFIGS:
-            assert connectivity_stdout(big) == connectivity_stdout(config), index
+            assert (cli_stdout(["connectivity"], big), moves_stdout(big, k), zone_at(big, k)) == unscaled_cli(index), index
 
 
 def test_the_corpus_has_reflections_and_circles():
