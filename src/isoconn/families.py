@@ -26,6 +26,9 @@ from .topology import AgentConfiguration, validate_laplacian
 DISTINCTNESS_TOL = 1e-12
 FULL_ENUMERATION_MAX_ORDER = 8
 DEFAULT_SAMPLE_SEED = 0
+# Matrix entries a family may hold (128 MiB of float64): full enumeration at
+# order 8 keeps 40,319 relabelings of 2 * 64 entries, about 5.2M.
+_FAMILY_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,10 @@ def permutation_family(
     ``dedupe`` the entries whose result matrices coincide exactly are collapsed,
     keeping the lexicographically first representative; ``limit`` caps the
     number of returned entries.  Sampling draws at most 200 relabelings per
-    wanted entry, and with ``dedupe`` no more than the n! - 1 non-identity
-    relabelings are wanted whatever ``limit`` is.
+    kept entry.  At most ``limit`` entries are kept when sampling without
+    ``dedupe``, else at most ``min(limit, n! - 1)``; a call whose kept
+    entries would hold more than 2^24 matrix entries (each a transform and a
+    result of n * n) is a ValueError before any draw.
     """
     if limit is not None:
         limit = _as_int(limit, "limit")
@@ -126,17 +131,28 @@ def permutation_family(
         raise OrderTooLargeError(
             f"full enumeration of {n}! permutations refused; pass sample=True"
         )
-
+    if sample and limit is None:
+        raise ValueError("sampling needs an explicit limit")
+    others = math.factorial(n) - 1
+    kept = limit if sample and not dedupe else min(limit or others, others)
+    if kept * 2 * n * n > _FAMILY_ENTRIES:
+        raise ValueError(f"{kept} relabelings of order {n} would hold {kept * 2 * n * n} matrix entries, over 2**24")
+    if sample:
+        rng = np.random.default_rng(seed)
+        perms = (tuple(int(i) for i in rng.permutation(n)) for _ in range(200 * kept))
+    else:
+        perms = itertools.permutations(range(n))
     identity = tuple(range(n))
     entries: list[IsoFamilyEntry] = []
     seen: set[bytes] = set()
-
-    def push(perm: tuple[int, ...]) -> None:
+    for perm in perms:
+        if perm == identity:
+            continue
         result = _conjugate_by_perm(m, perm)
         if dedupe:
             key = result.tobytes()
             if key in seen:
-                return
+                continue
             seen.add(key)
         entries.append(
             IsoFamilyEntry(
@@ -149,26 +165,8 @@ def permutation_family(
                 perm=perm,
             )
         )
-
-    if not sample:
-        for perm in itertools.permutations(range(n)):
-            if perm == identity:
-                continue
-            push(perm)
-            if limit is not None and len(entries) == limit:
-                break
-    else:
-        if limit is None:
-            raise ValueError("sampling needs an explicit limit")
-        rng = np.random.default_rng(seed)
-        wanted = min(limit, math.factorial(n) - 1) if dedupe else limit
-        attempts = 0
-        while len(entries) < limit and attempts < 200 * wanted:
-            attempts += 1
-            perm = tuple(int(i) for i in rng.permutation(n))
-            if perm == identity:
-                continue
-            push(perm)
+        if len(entries) == limit:
+            break
     return entries
 
 

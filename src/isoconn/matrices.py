@@ -4,8 +4,9 @@ Matrices here are desk-scale (orders up to a few hundred), so storage is a plain
 float64 ndarray and the eigensolver is a cyclic Jacobi sweep.  Jacobi was chosen
 over a library call because it makes results reproducible to the bit across runs:
 fixed sweep order, fixed rotation choice, fixed eigenvector sign convention.
-Arrays are solved by ``_eigh_stack``, one matrix as nested lists of floats by
-``_list_eigenvalues``; ``_scalar_kernel`` picks the kernel for a single matrix.
+Arrays are solved by ``_eigh_stack``: a single matrix by list loops, a larger
+stack by vectorised sweeps.  The dense-family check's 4x4 rows, as nested lists
+of floats, are solved by ``_list_eigenvalues`` through a generated kernel.
 """
 
 from __future__ import annotations
@@ -39,28 +40,6 @@ _STACK_ENTRIES = 1 << 17
 # the smallest nonzero one): inside the band the sweeps' sum of squares and
 # 1e-28 times it stay normal floats at any order below 2^100.
 _SCALE_BAND = 2.0 ** 400
-# Largest order a single solve runs through a kernel written out for its
-# order (see _unrolled_kernel).  Its compile, once per process and order, pays
-# for itself after some 50-90 solves at any order (2-CPU x86-64, values /
-# vectors: 1.7 / 2.1 ms against about 36 / 39 us saved per solve at n=4,
-# 6.1 / 9.0 ms against 107 / 156 us at n=6).  Long runs of single solves
-# come from dense-family sweeps, which are order 4, while a CLI run that
-# solves one matrix of order 5-8 would pay the larger compiles for nothing.
-_UNROLLED_MAX_ORDER = 4
-
-
-def _scalar_kernel(n: int, vectors: bool):
-    """The kernel for one matrix of order ``n``: nested lists of floats -> (diagonal, eigenvector rows or None).
-
-    Scalar loops beat a stack of one in ``_jacobi_stack`` at every order measured
-    (geometric Laplacians with eigenvectors, 2-CPU x86-64: 0.059 vs 1.9 ms at n=4,
-    0.41 vs 0.55 s at n=64).  Without ``vectors`` the eigenvalues keep their bits.
-    """
-    if n <= _UNROLLED_MAX_ORDER:
-        return _unrolled_kernel(n, vectors)
-    return functools.partial(_jacobi_lists, vectors=vectors)
-
-
 def _as_int(value, name: str) -> int:
     """The one integer rule, for JSON fields and for library indices and counts.
 
@@ -177,21 +156,23 @@ class SpectralDecomposition:
             object.__setattr__(self, name, arr)
 
 
+# The compile, once per process, costs some 80 solves' saving (a dense-family
+# matrix on a 2-CPU x86-64 host: about 1.1 ms against 13 us per solve).  Only
+# a sweep of the dense-family check over its (alpha, beta) plane makes that
+# many single solves in one process, so no array route runs this kernel.
 @functools.cache
-def _unrolled_kernel(n: int, vectors: bool):
-    """``_jacobi_lists`` for order ``n`` with every loop written out, compiled once.
+def _unrolled_kernel(n: int):
+    """``_jacobi_lists`` without vectors for order ``n`` with every loop written out, compiled once.
 
-    Each matrix entry ``a[i][j]`` and eigenvector entry ``v[i][j]`` is a local
-    ``ai_j``/``vi_j``, and each sweep lists its (p, q) rotations in the cyclic
-    order, so a solve does the list kernel's arithmetic in the same order,
-    without its subscripts and inner loops: the same bits, signed zeros and
-    ``ConvergenceError`` messages.  It takes the rows as nested lists of
-    floats and returns the diagonal and the eigenvector rows as lists.  The
+    Each matrix entry ``a[i][j]`` is a local ``ai_j``, and each sweep lists its
+    (p, q) rotations in the cyclic order, so a solve does the list kernel's
+    arithmetic in the same order, without its subscripts and inner loops: the
+    same bits, signed zeros and ``ConvergenceError`` messages.  It takes the
+    rows as nested lists of floats and returns the diagonal as a list.  The
     kernel reads ``_SWEEP_TOL``, ``_MAX_SWEEPS`` and ``ConvergenceError``
     from this module when it runs.
     """
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-    v = [[f"v{i}_{j}" for j in range(n)] for i in range(n)]
 
     def rotated(x: str, y: str) -> str:
         return f"{x}, {y} = c * {x} - s * {y}, s * {x} + c * {y}"
@@ -202,7 +183,6 @@ def _unrolled_kernel(n: int, vectors: bool):
     body = [
         "sqrt = math.sqrt",
         f"{listed(listed(row) for row in a)} = rows",
-        *(f"{v[i][j]} = {1.0 if i == j else 0.0!r}" for i in range(n) for j in range(n) if vectors),
         "fro2 = " + " + ".join(["0.0"] + [f"{x} * {x}" for row in a for x in row]),
         "thr2 = (_SWEEP_TOL * _SWEEP_TOL) * fro2",
         "sweeps = 0",
@@ -228,10 +208,8 @@ def _unrolled_kernel(n: int, vectors: bool):
                 "        s = t * c",
                 *(f"        {rotated(a[k][p], a[k][q])}" for k in range(n)),
                 *(f"        {rotated(a[p][k], a[q][k])}" for k in range(n)),
-                *(f"        {rotated(v[k][p], v[k][q])}" for k in range(n) if vectors),
             ]
-    vectors_out = listed(listed(row) for row in v) if vectors else "None"
-    body.append(f"return {listed(a[i][i] for i in range(n))}, {vectors_out}")
+    body.append(f"return {listed(a[i][i] for i in range(n))}")
     source = "def kernel(rows):\n" + "".join(f"    {line}\n" for line in body)
     namespace: dict = {}
     exec(compile(source, f"<jacobi order {n}>", "exec"), globals(), namespace)
@@ -239,7 +217,10 @@ def _unrolled_kernel(n: int, vectors: bool):
 
 
 def _jacobi_lists(rows: list, vectors: bool) -> tuple[list, list | None]:
-    """The scalar Jacobi sweeps as list loops, for orders above ``_UNROLLED_MAX_ORDER``."""
+    """The scalar Jacobi sweeps as list loops: the diagonal and the eigenvector rows (None without ``vectors``).
+
+    The diagonal has the same bits with or without ``vectors``.
+    """
     sqrt = math.sqrt
     n = len(rows)
     a = [list(row) for row in rows]
@@ -417,9 +398,11 @@ def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, n
     true, the sign-fixed eigenvectors as a (G, n, n) array (None otherwise);
     ``vectors[g][:, i]`` pairs with ``values[g, i]``, column-major per slice.
 
-    A stack of one runs the scalar kernel ``_scalar_kernel`` picks for its
-    order, a larger stack runs ``_jacobi_stack``, which repeats the scalar
-    sums, pair order and rotations elementwise, drops a slice once it
+    A stack of one runs the list loops ``_jacobi_lists``, which beat a stack
+    of one in ``_jacobi_stack`` at every order measured (geometric Laplacians
+    with eigenvectors, 2-CPU x86-64: 0.059 vs 1.9 ms at n=4, 0.41 vs 0.55 s
+    at n=64); a larger stack runs ``_jacobi_stack``, which repeats the list
+    loops' sums, pair order and rotations elementwise, drops a slice once it
     converges and keeps a slice's values by selection, never by an identity
     rotation (which could flip the sign of a zero), where its (p, q) entry is
     exactly zero.  Either way slice g is bit-identical to the solve of
@@ -431,7 +414,7 @@ def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, n
     if exps is not None:
         stack = np.ldexp(stack, -exps[:, None, None])
     if stack.shape[0] == 1:
-        w, v = _scalar_kernel(stack.shape[1], vectors)(stack[0].tolist())
+        w, v = _jacobi_lists(stack[0].tolist(), vectors)
         values, vt = np.array([w]), None if v is None else np.array(v).T[None]
     else:
         values, vt = _jacobi_stack(stack, vectors)
@@ -465,14 +448,15 @@ def _eigh_stack(stack: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, n
 def _list_eigenvalues(rows: list[list[float]]) -> list[float]:
     """``_eigh_stack``'s ascending eigenvalues, bit for bit, of one symmetric matrix as nested lists of floats.
 
-    In the scaling band it builds no array, since numpy calls on n * n numbers
-    cost as much as the sweeps at small orders; ``sorted`` is stable like the
-    arrays' sort, so 0.0 and -0.0 keep the sweeps' order.  Out of band the
-    rows are solved as an array.
+    Its one caller, the dense-family check, passes the family's 4x4 rows.  In
+    the scaling band they run the generated ``_unrolled_kernel`` and no numpy
+    call, since numpy calls on n * n numbers cost as much as the sweeps at
+    small orders; ``sorted`` is stable like the arrays' sort, so 0.0 and -0.0
+    keep the sweeps' order.  Out of band the rows are solved as an array.
     """
     mag = max(map(abs, chain.from_iterable(rows)))
     if mag <= _SCALE_BAND and not 0.0 < mag < 1.0 / _SCALE_BAND:
-        return sorted(_scalar_kernel(len(rows), False)(rows)[0])
+        return sorted(_unrolled_kernel(len(rows))(rows))
     return _eigh_stack(np.array([rows]))[0][0].tolist()
 
 

@@ -25,9 +25,12 @@ def _escape(text: str) -> str:
 
 
 def _scale_positions(pos: np.ndarray) -> np.ndarray:
+    # First scaled by 2^-e, e the exponent of the largest |coordinate|: exact,
+    # so any power-of-two unit draws the same, and no span overflows.
+    pos = np.ldexp(pos, -np.frexp(np.abs(pos).max())[1])
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0
     inner = _CANVAS - 2.0 * _MARGIN
     out = np.empty_like(pos)
     offset = (np.array([inner, inner]) - (hi - lo) * inner / span) / 2.0

@@ -158,6 +158,7 @@ class TestCapturedStdout:
             (["moves", "--input", "cli_moves_line.json", "--mobile", "m"], "moves_line_full.json"),
             # One neighbor: the circle, and the witnesses the bystander leaves.
             (["moves", "--input", "cli_moves_circle.json", "--mobile", "m"], "moves_circle_full.json"),
+            (["render", "--input", "cli_config7.json"], "render_config7.svg"),
         ],
     )
     def test_stdout_bytes_unchanged(self, capsys, argv, golden):

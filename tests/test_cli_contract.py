@@ -43,8 +43,9 @@ def scaled(config, factor):
 
 
 # The configuration, copies scaled to where squared distances underflow and
-# overflow, copies with a non-finite decay parameter, and a copy whose a1-a2
-# weight underflows to 0 in range.
+# overflow, copies with a non-finite decay parameter, a copy whose a1-a2
+# weight underflows to 0 in range, and agents at +-1e308, whose coordinate
+# differences overflow.
 CONFIGS = {
     "config.json": json.dumps(CONFIG),
     "config_tiny.json": json.dumps(scaled(CONFIG, 1e-199)),
@@ -52,6 +53,10 @@ CONFIGS = {
     "config_sigma_inf.json": json.dumps(CONFIG).replace('"sigma": 1.0', '"sigma": 1e999'),
     "config_range_inf.json": json.dumps(CONFIG).replace('"range": 10.0', '"range": 1e999'),
     "config_underflow.json": json.dumps({**CONFIG, "sigma": 2000.0}),
+    "config_pm1e308.json": json.dumps({**CONFIG, "agents": [
+        {"id": f"a{i + 1}", "x": x, "y": y}
+        for i, (x, y) in enumerate([(-1e308, -1e308), (1e308, -1e308), (-1e308, 1e308), (1e308, 1e308)])
+    ]}),
 }
 # Every step count is bounded: a huge finite one would ask for unbounded work.
 STEPS = ["0", "-1", "1", "3", "2.5", "1e-320", "Infinity", "-Infinity", "NaN", '"x"']
@@ -148,11 +153,9 @@ def argvs(draw):
             argv += ["--matrix", draw(matrix), "--matrix", draw(matrix)]
         else:
             argv += ["--enumerate", "--matrix", draw(matrix)]
-            # Sampling without dedupe keeps up to limit relabelings: only small limits.
             sample = draw(st.sampled_from([[], ["--sample"], ["--no-sample"]]))
             dedupe = draw(st.sampled_from([[], ["--no-dedupe"]]))
-            huge = [] if sample == ["--sample"] and dedupe else ["1000000000"]
-            limits = ["0", "-1", "1", "2", "nan"] + huge
+            limits = ["0", "-1", "1", "2", "nan", "1000000000"]
             argv += sample + dedupe
             argv += draw(st.sampled_from([[], ["--limit", draw(st.sampled_from(limits))]]))
             argv += draw(st.sampled_from([[], ["--seed", "-1"], ["--seed", "7"]]))
@@ -200,6 +203,8 @@ class TestContract:
             ["isospectral", "--matrix", "l1.json", "--matrix", "l2.json", "--tol", "inf"],
             ["spectrum", "--frobnicate"],
             ["isospectral", "--enumerate", "--matrix", "l1.json", "--limit", "nan"],
+            # Kept relabelings over the family's entry cap, refused before any draw.
+            ["isospectral", "--enumerate", "--sample", "--no-dedupe", "--matrix", "l1.json", "--limit", "1000000000"],
             ["spectrum", "--matrix", "l1.json", "--output", "missing/out.json"],
             ["zone", "--input", "config.json", "--mobile", "a3", "--bounds", "0,4,1,3", "--resolution", "2.5,1"],
             ["parametric", "--alpha", "nan", "--beta", "1"],
@@ -218,6 +223,21 @@ class TestContract:
     def test_input_errors_exit_2(self, base, argv):
         code, _, err = check_contract(in_dir(base, argv))
         assert code == 2 and json.loads(err)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["connectivity"],
+            ["render"],  # drew nan coordinates and printed numpy warnings
+            ["transform", "--permutation", "3,2,1,0"],
+            ["moves", "--mobile", "a3"],
+            ["integrate", "--path", "path2_0.json"],
+            ["zone", "--mobile", "a3", "--bounds=0,4,1,3", "--resolution", "2,1"],
+        ],
+    )
+    def test_agents_at_pm1e308(self, base, argv):
+        check_contract(in_dir(base, [argv[0], "--input", "config_pm1e308.json", *argv[1:]]))
 
     def test_output_error_names_the_target(self, base):
         _, _, err = check_contract(in_dir(base, ["spectrum", "--matrix", "l1.json", "--output", "missing/out.json"]))

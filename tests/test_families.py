@@ -131,6 +131,23 @@ class TestPermutationFamily:
         with pytest.raises(ValueError):
             permutation_family(l1, limit=0)
 
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_entry_cap_refuses_before_any_draw(self, monkeypatch, dedupe):
+        # At order 64, 2**24 matrix entries hold 2048 relabelings' transforms and results.
+        class Drawn(Exception):
+            pass
+
+        class NoDraws:
+            def permutation(self, n):
+                raise Drawn
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        zero = SquareMatrix(np.zeros((64, 64)))
+        with pytest.raises(Drawn):
+            permutation_family(zero, limit=2048, sample=True, dedupe=dedupe)
+        with pytest.raises(ValueError, match="^2049 relabelings of order 64 would hold 16785408 matrix entries"):
+            permutation_family(zero, limit=2049, sample=True, dedupe=dedupe)
+
 
 class TestRelabelConfiguration:
     def test_identity_is_noop(self):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from isoconn import (
     ConvergenceError,
+    algebraic_connectivity,
     build_laplacian,
     dense_family_laplacian,
+    dense_family_validity,
     NonFiniteError,
     NonSymmetricError,
     NotBijectionError,
@@ -19,6 +21,7 @@ from isoconn import (
     permutation_matrix,
     symmetric_eigendecomposition,
     validate_iso_transform,
+    validate_laplacian,
 )
 from isoconn import matrices
 from isoconn.matrices import _eigh_stack, _list_eigenvalues
@@ -33,10 +36,23 @@ def random_symmetric(seed, n, lo=-10.0, hi=10.0):
     return SquareMatrix(0.5 * (m + m.T))
 
 
+# The orders whose values-only solves are also run through the generated
+# kernel, which the dense-family check runs at order 4.
+UNROLLED_ORDERS = range(1, 5)
+
+
 def scalar_solve(sym, vectors):
-    """The kernel ``_scalar_kernel`` picks for ``sym``, run on its rows: diagonal and eigenvector rows as arrays."""
-    w, v = matrices._scalar_kernel(len(sym), vectors)(sym.tolist())
-    return np.array(w), None if v is None else np.array(v)
+    """The list loops on ``sym``'s rows: diagonal and eigenvector rows as arrays.
+
+    Values only at ``UNROLLED_ORDERS``, the generated kernel runs too and must
+    give the same diagonal bytes.
+    """
+    rows = sym.tolist()
+    w, v = matrices._jacobi_lists(rows, vectors)
+    w = np.array(w)
+    if not vectors and len(rows) in UNROLLED_ORDERS:
+        assert np.array(matrices._unrolled_kernel(len(rows))(rows)).tobytes() == w.tobytes()
+    return w, None if v is None else np.array(v)
 
 
 def charpoly_roots(rows):
@@ -333,28 +349,34 @@ class TestScalarKernelMatchesFrozenReference:
         self.assert_same_bytes(np.zeros((3, 3)))
         self.assert_same_bytes(np.array([[-0.0]]))
 
-    @pytest.mark.parametrize("n", range(1, matrices._UNROLLED_MAX_ORDER + 1))
+    @pytest.mark.parametrize("n", UNROLLED_ORDERS)
     def test_small_orders_with_signed_zeros_and_tiny_entries(self, n):
-        # The orders the generated kernels solve.
+        # The orders the generated kernel solves.
         for seed in range(40):
             for m in signed_zero_corpus(seed, n):
                 self.assert_same_bytes(m)
 
 
 class TestUnrolledKernel:
-    """Orders up to _UNROLLED_MAX_ORDER run a kernel generated once per order."""
+    """The dense-family check's kernel: values only, generated once per order, never run by an array solve."""
 
     def test_sweep_cap_message(self, monkeypatch):
         dense = random_symmetric(7, 4).entries
         monkeypatch.setattr(matrices, "_MAX_SWEEPS", 1)
+        message = "no convergence after 1 sweeps (order 4)"
         for vectors in (False, True):
             with pytest.raises(ConvergenceError) as frozen:
                 frozen_jacobi(dense, vectors)
             with pytest.raises(ConvergenceError) as live:
                 scalar_solve(dense, vectors)
-            assert str(live.value) == str(frozen.value) == "no convergence after 1 sweeps (order 4)"
+            assert str(live.value) == str(frozen.value) == message
+        with pytest.raises(ConvergenceError) as unrolled:
+            matrices._unrolled_kernel(4)(dense.tolist())
+        assert str(unrolled.value) == message
 
-    def test_each_kernel_compiles_once(self, monkeypatch):
+    @staticmethod
+    def compiles(monkeypatch):
+        """The file names of the kernels compiled from here on, the cache emptied first."""
         compiled = []
 
         def counting_compile(source, filename, mode):
@@ -363,30 +385,32 @@ class TestUnrolledKernel:
 
         matrices._unrolled_kernel.cache_clear()
         monkeypatch.setattr(matrices, "compile", counting_compile, raising=False)
+        return compiled
+
+    def test_each_kernel_compiles_once(self, monkeypatch):
+        compiled = self.compiles(monkeypatch)
+        # No array solve, of a stack of one or more, at any order, runs it.
+        for n in [*UNROLLED_ORDERS, 5, 8]:
+            for slices in (1, 2):
+                for vectors in (False, True):
+                    _eigh_stack(np.array([random_symmetric(90 + g, n).entries for g in range(slices)]), vectors)
+        assert compiled == []
         for _ in range(3):
-            for n in range(1, matrices._UNROLLED_MAX_ORDER + 1):
+            for n in UNROLLED_ORDERS:
                 for vectors in (False, True):
                     scalar_solve(random_symmetric(n, n).entries, vectors)
-        # One values-only and one eigenvector kernel per order.
-        assert sorted(compiled) == sorted(
-            f"<jacobi order {n}>" for n in range(1, matrices._UNROLLED_MAX_ORDER + 1) for _ in range(2)
-        )
+        assert sorted(compiled) == [f"<jacobi order {n}>" for n in UNROLLED_ORDERS]
         assert matrices._unrolled_kernel.cache_info().currsize == len(compiled)
 
-    def test_larger_orders_take_the_list_loops(self, monkeypatch):
-        orders = []
-        unrolled = matrices._unrolled_kernel
-
-        def recording(n, vectors):
-            orders.append(n)
-            return unrolled(n, vectors)
-
-        monkeypatch.setattr(matrices, "_unrolled_kernel", recording)
-        cap = matrices._UNROLLED_MAX_ORDER
-        for n in (cap, cap + 1):
-            TestScalarKernelMatchesFrozenReference.assert_same_bytes(random_symmetric(n, n).entries)
-        # A values-only and an eigenvector solve at the cap, none above it.
-        assert orders == [cap, cap]
+    def test_only_the_dense_family_check_compiles_it(self, monkeypatch):
+        compiled = self.compiles(monkeypatch)
+        lap = dense_family_laplacian(2.0, 3.0)
+        algebraic_connectivity(lap)
+        symmetric_eigendecomposition(lap)
+        validate_laplacian(lap, 1e-9)
+        assert compiled == []
+        dense_family_validity(2.0, 3.0)
+        assert compiled == ["<jacobi order 4>"]
 
 
 class TestEigvalsStack:
@@ -632,21 +656,17 @@ def kernel_runs(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(matrices, "_unrolled_kernel", lambda n, vectors: recording("unrolled", unrolled(n, vectors)))
+    monkeypatch.setattr(matrices, "_unrolled_kernel", lambda n: recording("unrolled", unrolled(n)))
     monkeypatch.setattr(matrices, "_jacobi_lists", recording("lists", lists))
     monkeypatch.setattr(matrices, "_jacobi_stack", recording("stack", stacked))
     return runs
 
 
-CHOICE_ORDERS = [*range(1, matrices._UNROLLED_MAX_ORDER + 2), 8, 17]
-
-
-def single_kernel(n):
-    return "unrolled" if n <= matrices._UNROLLED_MAX_ORDER else "lists"
+CHOICE_ORDERS = [1, 2, 3, 4, 5, 8, 17]
 
 
 class TestKernelChoice:
-    """Which kernel a solve runs: a stack of one by its order, a larger stack vectorised; once per call."""
+    """Which kernel a solve runs, once per call: nested lists in band the generated one, a stack of one the list loops, a larger stack the vectorised sweeps."""
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**401])
     @pytest.mark.parametrize("vectors", [False, True])
@@ -656,7 +676,7 @@ class TestKernelChoice:
         stack = np.array([random_symmetric(70 + g, n).entries * scale for g in range(slices)])
         assert (matrices._band_exponents(stack) is None) == (scale == 1.0)
         _eigh_stack(stack, vectors)
-        assert kernel_runs == [single_kernel(n) if slices == 1 else "stack"]
+        assert kernel_runs == ["lists" if slices == 1 else "stack"]
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**401])
     @pytest.mark.parametrize("n", CHOICE_ORDERS)
@@ -665,7 +685,7 @@ class TestKernelChoice:
         arrays = []
         monkeypatch.setattr(matrices, "_eigh_stack", lambda stack: arrays.append(stack) or _eigh_stack(stack))
         _list_eigenvalues((random_symmetric(80, n).entries * scale).tolist())
-        assert kernel_runs == [single_kernel(n)]
+        assert kernel_runs == ["unrolled" if scale == 1.0 else "lists"]
         assert len(arrays) == (scale != 1.0)
 
 

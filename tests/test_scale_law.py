@@ -1,10 +1,10 @@
 """Position units must not matter: positions and range scaled by 2^k scale every answer by 2^k, bit for bit.
 
 Weights depend on distance / range only, so the Laplacian, its spectrum, the
-connectivity report, the path integral and the zone scan's connectivity
-levels keep their bits, mirror moves and zone points scale with the
-positions and motion derivatives by 2^-k, wherever the coordinates and their
-differences stay normal floats.
+connectivity report, the path integral, the zone scan's connectivity levels
+and the SVG drawing keep their bits, mirror moves and zone points scale with
+the positions and motion derivatives by 2^-k, wherever the coordinates and
+their differences stay normal floats.
 """
 
 import contextlib
@@ -30,6 +30,7 @@ from isoconn import (
     mirror_moves,
 )
 from isoconn.cli import main
+from isoconn.render import render_configuration_svg
 from isoconn.errors import AnalysisError
 from isoconn.topology import _distances
 from conftest import geometric_config, make_config
@@ -149,6 +150,7 @@ def unscaled(index):
         moves_at(config),
         derivatives_at(config),
         path_at(config),
+        render_configuration_svg(config),
     )
 
 
@@ -167,8 +169,9 @@ CLI_CONFIGS = 6
 @pytest.mark.parametrize("k", EXPONENTS)
 def test_scaling_by_a_power_of_two_keeps_every_answer(k):
     # The hypot fallback of the distance rule rounded differently from its
-    # sqrt path at k = +-1000, and absolute floors in mirror_moves lost or
-    # invented moves at every k <= -30 and at k = 1000.
+    # sqrt path at k = +-1000, absolute floors in mirror_moves lost or
+    # invented moves at every k <= -30 and at k = 1000, and the drawing's
+    # span floor shrank it at k <= -34.
     for index, config in enumerate(CONFIGS):
         big = scaled(config, k)
         assert normal(big), index
@@ -179,6 +182,7 @@ def test_scaling_by_a_power_of_two_keeps_every_answer(k):
             moves_at(big, k),
             derivatives_at(big, k),
             path_at(big, k),
+            render_configuration_svg(big),
         )
         assert got == unscaled(index), index
         if index < CLI_CONFIGS:

@@ -1,10 +1,10 @@
 """Eigensolves per public call: each Laplacian is solved once per call.
 
-A solve of one matrix, a stack of one in ``matrices._eigh_stack`` or nested
-lists in ``_list_eigenvalues``, runs the scalar kernel that
-``_scalar_kernel`` picks for its order, once per solve; a larger stack runs
-the vectorised ``_jacobi_stack``.  These tests count the kernel choices and
-the stacked solves.
+A solve of one matrix runs a scalar kernel once: a stack of one in
+``matrices._eigh_stack`` the list loops ``_jacobi_lists``, the dense-family
+check's nested lists in ``_list_eigenvalues`` the generated
+``_unrolled_kernel``.  A larger stack runs the vectorised ``_jacobi_stack``.
+These tests count the scalar solves, the stacked solves and their slices.
 """
 
 import json
@@ -35,18 +35,23 @@ from conftest import L1_ROWS, L2_ROWS, geometric_config
 def solves(monkeypatch):
     """Counts of scalar solves, stacked solves and the slices in those stacks."""
     counts = {"scalar": 0, "stacks": 0, "slices": 0}
-    scalar, stacked = matrices._scalar_kernel, matrices._jacobi_stack
+    lists, unrolled, stacked = matrices._jacobi_lists, matrices._unrolled_kernel, matrices._jacobi_stack
 
-    def count_scalar(n, vectors):
+    def count_lists(rows, vectors):
         counts["scalar"] += 1
-        return scalar(n, vectors)
+        return lists(rows, vectors)
+
+    def count_unrolled(n):
+        counts["scalar"] += 1
+        return unrolled(n)
 
     def count_stacked(stack, vectors):
         counts["stacks"] += 1
         counts["slices"] += stack.shape[0]
         return stacked(stack, vectors)
 
-    monkeypatch.setattr(matrices, "_scalar_kernel", count_scalar)
+    monkeypatch.setattr(matrices, "_jacobi_lists", count_lists)
+    monkeypatch.setattr(matrices, "_unrolled_kernel", count_unrolled)
     monkeypatch.setattr(matrices, "_jacobi_stack", count_stacked)
     return counts
 
