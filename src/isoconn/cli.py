@@ -18,7 +18,6 @@ from .errors import AnalysisError
 from .families import permutation_family, similarity_transform
 from .matrices import (
     SquareMatrix,
-    _as_int,
     _symmetric_eigenvalues,
     ones_axis_rotation,
     permutation_matrix,
@@ -273,9 +272,9 @@ def _cmd_integrate(args):
     data = _load_json(args.path)
     try:
         mobile = config.index_of(str(data["mobile"]))
-        waypoints = [(p[0], p[1]) for p in data["waypoints"]]
-        steps = _as_int(data["steps"], "steps")
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        waypoints = data["waypoints"]
+        steps = data["steps"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"invalid path file {args.path}: {exc}") from exc
     result = integrate_connectivity_change(config, mobile, waypoints, steps)
     return result.to_json_dict()

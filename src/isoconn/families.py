@@ -115,12 +115,16 @@ def permutation_family(
     kept entry.  At most ``limit`` entries are kept when sampling without
     ``dedupe``, else at most ``min(limit, n! - 1)``; a call whose kept
     entries would hold more than 2^24 matrix entries (each a transform and a
-    result of n * n) is a ValueError before any draw.
+    result of n * n) is a ValueError before any draw.  ``seed`` is an integer
+    >= 0, checked in either mode.
     """
     if limit is not None:
         limit = _as_int(limit, "limit")
         if limit < 1:
             raise ValueError("limit must be >= 1")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if not validate_laplacian(laplacian, 1e-9).passed:
         raise NotLaplacianError("base matrix fails structural Laplacian validation")
     n = laplacian.order

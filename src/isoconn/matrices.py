@@ -69,6 +69,17 @@ def _as_float(value, name: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _finite_rows(value, rows: int | None, cols: int, message: str) -> np.ndarray:
+    """``value`` as rows x cols finite floats by the float rule (rows None: any from 1), else ValueError(message)."""
+    try:
+        arr = np.array([[_as_float(x, "entry") for x in row] for row in value])
+    except (TypeError, ValueError):  # not rows of numbers, or ragged rows
+        arr = np.empty(0)
+    if arr.shape != (rows or max(len(arr), 1), cols) or not np.isfinite(arr).all():
+        raise ValueError(message)
+    return arr
+
+
 def _shown(value) -> str:
     """``value`` for an error message: an integer past 64 bits by its sign and size, which stays short."""
     if isinstance(value, int) and value.bit_length() > 64:
@@ -223,22 +234,23 @@ def _jacobi_lists(rows: list, vectors: bool) -> tuple[list, list | None]:
     """
     sqrt = math.sqrt
     n = len(rows)
-    a = [list(row) for row in rows]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if vectors else None
-    # The rows are updated in place, so these lists stay valid for the whole
-    # solve: the cyclic (p, q) order with both rows, and the upper triangle.
+    # With ``vectors`` the eigenvector rows start as the identity under the
+    # matrix rows, as in ``_jacobi_stack``, so one column update rotates both.
+    a = [list(row) for row in rows] + [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n) if vectors]
+    # The rows are updated in place, so this list stays valid for the whole
+    # solve: the cyclic (p, q) order with both rows, which is also the order
+    # of the upper triangle that the stopping sum reads.
     pairs = [(p, q, a[p], a[q]) for p in range(n - 1) for q in range(p + 1, n)]
-    upper = [(a[i], j) for i in range(n) for j in range(i + 1, n)]
     fro2 = 0.0
-    for ai in a:
+    for ai in a[:n]:
         for aij in ai:
             fro2 += aij * aij
     thr2 = (_SWEEP_TOL * _SWEEP_TOL) * fro2
     sweeps = 0
     while True:
         off2 = 0.0
-        for ai, j in upper:
-            off2 += 2.0 * ai[j] * ai[j]
+        for _, q, ap, _ in pairs:
+            off2 += 2.0 * ap[q] * ap[q]
         if off2 <= thr2:
             break
         if sweeps == _MAX_SWEEPS:
@@ -257,7 +269,8 @@ def _jacobi_lists(rows: list, vectors: bool) -> tuple[list, list | None]:
                 t = (1.0 if theta >= 0.0 else -1.0) / (mag + sqrt(theta * theta + 1.0))
             c = 1.0 / sqrt(t * t + 1.0)
             s = t * c
-            # Columns first: the rows' update reads the (p, q) block they leave.
+            # Columns first (the eigenvector rows' too): the rows' update
+            # reads the (p, q) block they leave.
             for ak in a:
                 akp = ak[p]
                 akq = ak[q]
@@ -268,13 +281,7 @@ def _jacobi_lists(rows: list, vectors: bool) -> tuple[list, list | None]:
                 akq = aq[k]
                 ap[k] = c * akp - s * akq
                 aq[k] = s * akp + c * akq
-            if vectors:
-                for vk in v:
-                    vkp = vk[p]
-                    vkq = vk[q]
-                    vk[p] = c * vkp - s * vkq
-                    vk[q] = s * vkp + c * vkq
-    return [a[i][i] for i in range(n)], v
+    return [a[i][i] for i in range(n)], a[n:] if vectors else None
 
 
 def _stack_slices(n: int, vectors: bool) -> int:

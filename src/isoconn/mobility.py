@@ -29,6 +29,7 @@ from .matrices import (
     _check_tol,
     _eigh_stack,
     _entry_scale,
+    _finite_rows,
     _shown,
     _stack_slices,
     _tol_scale,
@@ -150,12 +151,7 @@ def laplacian_motion_derivative(
     """
     pos = config.positions()
     mobile = _check_agent(mobile, len(config.agents))
-    try:
-        u = np.array([_as_float(d, "direction") for d in direction])
-    except (TypeError, ValueError):
-        u = None
-    if u is None or u.shape != (2,) or not np.isfinite(u).all():
-        raise ValueError("direction must be two finite numbers")
+    u = _finite_rows([direction], 1, 2, "direction must be two finite numbers")[0]
     big = float(np.abs(u).max())
     if big == 0.0:
         raise ValueError("direction must be nonzero")
@@ -327,8 +323,9 @@ def integrate_connectivity_change(
     the second eigenvalue, drops below ``gap_tol`` times the Laplacian's
     ``max(1, largest |entry|)`` anywhere along the path (checked at the start,
     then the end, then the midpoints in path order), and warns if any link
-    crosses the range boundary between evaluations.  ``gap_tol`` must be
-    positive and finite.  Waypoints must be finite, and no midpoint may land
+    crosses the range boundary between evaluations (one warning per agent, in
+    the order of first crossings).  ``gap_tol`` must be positive and finite.
+    Each waypoint must be two finite numbers (x, y), and no midpoint may land
     exactly on a fixed agent (CoincidentAgentsError), where the derivative is
     undefined.
 
@@ -349,46 +346,40 @@ def integrate_connectivity_change(
     pos = config.positions()
     n = len(config.agents)
     mobile = _check_agent(mobile, n)
-    pts = [
-        np.array([_as_float(w[0], f"waypoint {i} x"), _as_float(w[1], f"waypoint {i} y")])
-        for i, w in enumerate(waypoints)
-    ]
+    rows = []
+    try:
+        for i, w in enumerate(waypoints):
+            if len(w) != 2:
+                raise ValueError(f"waypoint {i} must be two numbers (x, y), got length {len(w)}")
+            rows.append([_as_float(w[0], f"waypoint {i} x"), _as_float(w[1], f"waypoint {i} y")])
+    except (TypeError, KeyError):  # not iterable, or a waypoint without a length or an index
+        raise ValueError("waypoints must be a sequence of (x, y) pairs") from None
+    pts = np.array(rows).reshape(-1, 2)
     for i, point in enumerate(pts):
         if not np.isfinite(point).all():
             raise NonFiniteError(f"waypoint {i} is not finite: {point.tolist()}")
     sigma, comm_range = config.sigma, config.comm_range
     ids = config.ids()
 
-    vertices = np.array(pts).reshape(-1, 2)
-    lengths = _distances(vertices[1:], vertices[:-1]).tolist()
-    segments = [(a, b, length) for a, b, length in zip(pts, pts[1:], lengths) if length > 0.0]
-    if not segments:
+    lengths = _distances(pts[1:], pts[:-1])
+    moves = lengths > 0.0
+    if not moves.any():
         return PathIntegralResult(0.0, 0.0)
-
-    total = sum(length for _, _, length in segments)
+    seg_start, seg_end, seg_len = pts[:-1][moves], pts[1:][moves], lengths[moves]
+    total = sum(seg_len.tolist())
     if not math.isfinite(steps * total):
         raise NonFiniteError(f"path length {total:.3e} times {steps} steps overflows")
 
     # The schedule: both ends, then every midpoint in path order.  Midpoint k
     # of segment s lies (k + 0.5) * seg_h[s] along seg_unit[s] from its start.
-    counts = [max(1, round(steps * length / total)) for _, _, length in segments]
+    counts = [max(1, round(steps * length / total)) for length in seg_len.tolist()]
     seg_first = np.cumsum([0] + counts)
-    seg_start = np.array([a for a, _, _ in segments])
-    seg_unit = np.array([(b - a) / length for a, b, length in segments])
-    seg_h = np.array([length / count for (_, _, length), count in zip(segments, counts)])
-    ends_xy = np.array([segments[0][0], segments[-1][1]])
+    seg_unit = (seg_end - seg_start) / seg_len[:, None]
+    seg_h = seg_len / counts
+    ends_xy = np.array([seg_start[0], seg_end[-1]])
     start_flags, end_flags = _moved_laplacians(pos, mobile, ends_xy, sigma, comm_range)[:, mobile] < 0.0
     end_labels = ("at the path start", "at the path end")
-
-    warnings: list[str] = []
-    warned: set[int] = set()
-
-    def note_crossings(agents: np.ndarray) -> None:
-        # One warning per agent, at its first range crossing, in path order.
-        for j in agents.tolist():
-            if j not in warned:
-                warned.add(j)
-                warnings.append(f"range crossing: link to agent {ids[j]!r} changed state mid-path")
+    crossed: dict[int, None] = {}  # agents whose link changes state, in first-crossing order
 
     per_stack = _stack_slices(n, vectors=True)
     size = 2 + int(seg_first[-1])
@@ -430,7 +421,7 @@ def integrate_connectivity_change(
         # An agent's flag equals its start flag until its first change, so
         # comparing each point with the start finds the same first crossings
         # as comparing consecutive points.
-        note_crossings(np.nonzero(linked[n_ends:] != start_flags)[1])
+        crossed.update(dict.fromkeys(np.nonzero(linked[n_ends:] != start_flags)[1].tolist()))
         rates = _link_rates(pos, mobile, points[n_ends:], unit, laps[n_ends:], sigma / comm_range)
         fiedler = vectors[n_ends:, :, 1]
         # f^T (dL) f = sum_j da_j (f_j - f_mobile)^2, summed in agent order.
@@ -438,7 +429,8 @@ def integrate_connectivity_change(
         forms = np.cumsum(rates * (spread * spread), axis=1)[:, -1]
         for step in (forms * h).tolist():
             integral += step
-    note_crossings(np.nonzero(end_flags != start_flags)[0])
+    crossed.update(dict.fromkeys(np.nonzero(end_flags != start_flags)[0].tolist()))
 
     lam_start, lam_end = ends
-    return PathIntegralResult(integral, lam_end - lam_start, tuple(warnings))
+    warnings = tuple(f"range crossing: link to agent {ids[j]!r} changed state mid-path" for j in crossed)
+    return PathIntegralResult(integral, lam_end - lam_start, warnings)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .matrices import SquareMatrix
+from .matrices import SquareMatrix, _finite_rows
 from .topology import AgentConfiguration, build_adjacency
 
 _CANVAS = 480.0
@@ -41,10 +41,13 @@ def _scale_positions(pos: np.ndarray) -> np.ndarray:
 
 
 def render_graph_svg(positions: np.ndarray, labels: list[str], weights: np.ndarray) -> str:
-    """SVG of a node-edge graph; edge stroke opacity is proportional to weight."""
-    pts = _scale_positions(np.asarray(positions, dtype=float))
+    """SVG of n >= 1 nodes (finite x, y rows) with n labels; edge opacity follows the finite n x n weights."""
+    pts = _scale_positions(_finite_rows(positions, None, 2, "positions must be one or more rows of 2 finite numbers"))
     n = pts.shape[0]
-    max_w = float(weights.max()) if weights.size and weights.max() > 0 else 1.0
+    if len(labels) != n:
+        raise ValueError(f"labels must be {n}, one per position, got {len(labels)}")
+    weights = _finite_rows(weights, n, n, f"weights must be {n} rows of {n} finite numbers")
+    max_w = float(weights.max()) if weights.max() > 0 else 1.0
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS:.0f}" '

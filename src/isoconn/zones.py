@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -226,8 +226,8 @@ def iso_connectivity_zone(
     counts as rejected.  The other cells are taken from the grid one
     fixed-size stack at a time and solved together, each cell bit-identical
     to its own single solve, so memory grows with the accepted points only.
-    The default target is one more slice of the first stack, with the mobile
-    agent at its own position.  ``tol`` and ``target`` must be finite.
+    The default target is the first cell of the stream, the mobile agent at
+    its own position.  ``tol`` and ``target`` must be finite.
     """
     tol = _check_tol(tol)
     if target is not None:
@@ -239,20 +239,15 @@ def iso_connectivity_zone(
     pos = config.positions()
     fixed = set(map(tuple, np.delete(pos, mobile, axis=0).tolist()))
     cells = (c for c in grid.centers() if c not in fixed)
+    if target is None:
+        cells = chain([pos[mobile]], cells)
     per_chunk = _stack_slices(n, vectors=False)
-    # The first stack also holds the default target, so it takes one cell
-    # less; at one slice per stack (orders above 128) it holds the target only.
-    take = per_chunk - (target is None)
     accepted: list[ZonePoint] = []
-    while (chunk := list(islice(cells, take))) or target is None:
-        take = per_chunk
-        placed = np.array(chunk).reshape(-1, 2)
-        if target is None:
-            placed = np.concatenate([pos[mobile][None], placed])
-        laps = _moved_laplacians(pos, mobile, placed, config.sigma, config.comm_range)
+    while chunk := list(islice(cells, per_chunk)):
+        laps = _moved_laplacians(pos, mobile, np.array(chunk), config.sigma, config.comm_range)
         solved = _eigh_stack(laps)[0][:, 1].tolist()
         if target is None:
-            target, solved = solved[0], solved[1:]
+            target, chunk, solved = solved[0], chunk[1:], solved[1:]
         for (x, y), lam in zip(chunk, solved):
             if abs(lam - target) <= tol:
                 accepted.append(ZonePoint(x, y, lam))

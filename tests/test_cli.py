@@ -159,6 +159,9 @@ class TestCapturedStdout:
             # One neighbor: the circle, and the witnesses the bystander leaves.
             (["moves", "--input", "cli_moves_circle.json", "--mobile", "m"], "moves_circle_full.json"),
             (["render", "--input", "cli_config7.json"], "render_config7.svg"),
+            # Exact 0/1 products and reindexing only, so no BLAS kernel moves a bit.
+            (["transform", "--matrix", "cli_l1.json", "--permutation", "3,2,1,0"], "transform_l1_perm_full.json"),
+            (["isospectral", "--enumerate", "--matrix", "cli_l1.json"], "isospectral_enumerate_l1_full.json"),
         ],
     )
     def test_stdout_bytes_unchanged(self, capsys, argv, golden):
@@ -401,6 +404,23 @@ class TestIntegrate:
         assert code == 2 and out == ""
         assert "steps must be an integer" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"mobile": "zz", "waypoints": [[1.0, 2.0]], "steps": 5}', "unknown agent id 'zz'"),
+            ('{"mobile": "a3", "steps": 5}', "'waypoints'"),
+            ('[1, 2]', "list indices must be integers"),
+        ],
+    )
+    def test_invalid_path_file_exits_2_naming_it(self, workdir, capsys, text, message):
+        base, _, config_path = workdir
+        path_file = base / "path.json"
+        path_file.write_text(text)
+        code, out, err = run(capsys, ["integrate", "--input", config_path, "--path", str(path_file)])
+        assert code == 2 and out == ""
+        got = json.loads(err)["message"]
+        assert got.startswith(f"invalid path file {path_file}: ") and message in got
+
     @pytest.mark.parametrize("steps", ["16777217", "1e18", "1000000000000000000"])
     def test_huge_steps_exit_2_at_once(self, workdir, capsys, steps):
         # A path of 1e18 steps used to run until killed.
@@ -495,21 +515,10 @@ class TestZone:
         "extra,golden",
         [([], "zone_readme.json"), (["--tol", "0.05", "--precision", "full"], "zone_readme_tol.json")],
     )
-    def test_readme_example_stdout_unchanged(self, tmp_path, capsys, extra, golden):
+    def test_readme_example_stdout_unchanged(self, capsys, extra, golden):
         # The golden files hold the stdout of the one-solve-per-cell scan.
-        config = {
-            "sigma": 1.0,
-            "range": 10.0,
-            "agents": [
-                {"id": "a1", "x": 0.0, "y": 0.0},
-                {"id": "a2", "x": 4.0, "y": 0.0},
-                {"id": "a3", "x": 1.0, "y": 2.0},
-            ],
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
         argv = [
-            "zone", "--input", str(config_path), "--mobile", "a3",
+            "zone", "--input", str(DATA / "cli_zone_readme.json"), "--mobile", "a3",
             "--bounds", "0,4,-3,3", "--resolution", "9,9",
         ]
         code, out, _ = run(capsys, argv + extra)
@@ -642,6 +651,58 @@ class TestCliContract:
         assert data["spectrum"] == [0.0, 2.0, 4.0, 4.0]
         leftovers = [p for p in base.iterdir() if p.name.startswith(".isoconn-tmp-")]
         assert leftovers == []
+
+    def test_output_onto_a_directory_exits_2_naming_it(self, workdir, capsys):
+        base, matrix_file, _ = workdir
+        target = base / "taken"
+        target.mkdir()
+        argv = ["spectrum", "--matrix", matrix_file("l1.json", L1_ROWS), "--output", str(target)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        message = json.loads(err)["message"]
+        assert str(target) in message and ".isoconn-tmp-" not in message
+        assert [p.name for p in base.iterdir() if p.name.startswith(".isoconn-tmp-")] == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["connectivity", "--input", "{base}/missing.json"], "cannot read {base}/missing.json: "),
+            (["spectrum"], "expected exactly one --matrix file (or an --input configuration)"),
+            (["spectrum", "--matrix", "{l1}", "--matrix", "{l1}"], "expected exactly one --matrix file"),
+            (["isospectral", "--enumerate", "--matrix", "{l1}", "--matrix", "{l1}"], "--enumerate needs exactly one --matrix file"),
+            (["transform", "--matrix", "{l1}", "--permutation", "0,0,1,2"], "bad --permutation: not a bijection"),
+            (["transform", "--matrix", "{l1}", "--permutation", "a,b"], "bad --permutation: invalid literal"),
+        ],
+    )
+    def test_input_errors_exit_2_with_their_message(self, workdir, capsys, argv, message):
+        base, matrix_file, _ = workdir
+        names = {"base": str(base), "l1": matrix_file("l1.json", L1_ROWS)}
+        code, out, err = run(capsys, [a.format(**names) for a in argv])
+        assert code == 2 and out == ""
+        got = json.loads(err)
+        assert got["error"] == "InvalidInput" and got["message"].startswith(message.format(**names)), got
+
+    def test_transform_file_matches_the_permutation(self, workdir, capsys):
+        base, _, _ = workdir
+        reversal = base / "reversal.json"
+        reversal.write_text(json.dumps(SquareMatrix.from_rows(np.eye(4)[::-1]).to_json_dict()))
+        argv = ["transform", "--matrix", str(DATA / "cli_l1.json"), "--precision", "full"]
+        code, out, _ = run(capsys, argv + ["--transform", str(reversal)])
+        assert code == 0 and out.encode() == (DATA / "transform_l1_perm_full.json").read_bytes()
+
+    def test_zone_csv_lists_the_accepted_points(self, capsys):
+        argv = ["zone", "--input", str(DATA / "cli_zone_readme.json"), "--mobile", "a3", "--bounds", "0,4,-3,3"]
+        argv += ["--resolution", "9,9", "--tol", "0.05", "--precision", "full"]
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        accepted = json.loads((DATA / "zone_readme_tol.json").read_text())["accepted"]
+        assert code == 0 and len(accepted) == 48
+        assert out.splitlines() == ["x,y,lambda2"] + [f"{p['x']!r},{p['y']!r},{p['lambda2']!r}" for p in accepted]
+
+    def test_csv_none_cell_is_empty(self, capsys):
+        # A rotation has no relabeling: "perm" is null in JSON, empty in CSV.
+        argv = ["transform", "--matrix", str(DATA / "cli_l1.json"), "--rotation", "0.3"]
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0 and out.splitlines()[:2] == ["key,value", "perm,"]
 
     def test_byte_identical_output(self, workdir, capsys):
         _, matrix_file, _ = workdir

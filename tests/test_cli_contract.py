@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -60,7 +61,12 @@ CONFIGS = {
 }
 # Every step count is bounded: a huge finite one would ask for unbounded work.
 STEPS = ["0", "-1", "1", "3", "2.5", "1e-320", "Infinity", "-Infinity", "NaN", '"x"']
-ENDS = ["[1.2, 2.2]", "[1e308, 0]", "[NaN, 1]", "[1e-320, 1e-320]"]
+ENDS = ["[1.2, 2.2]", "[1e308, 0]", "[NaN, 1]", "[1e-320, 1e-320]", "[1.2, 2.2, 3.0]", "[1.2]", '{"x": 1.2, "y": 2.2}']
+# A --limit past the family's entry cap.  Argvs with it run in a child whose
+# address space is capped, so that a regressed cap fails in seconds instead
+# of growing the test process without bound.
+HUGE_LIMIT = "1000000000"
+CHILD_MEMORY = 256 << 20
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +99,8 @@ def in_dir(base, argv):
 
 def invoke(argv):
     """(exit code, stdout, stderr) of one in-process run; warnings must not occur."""
+    if HUGE_LIMIT in argv:
+        return invoke_capped(argv)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -102,6 +110,19 @@ def invoke(argv):
             code = exc.code
     assert not caught, [str(w.message) for w in caught]  # a process would print them
     return code, out.getvalue(), err.getvalue()
+
+
+def invoke_capped(argv):
+    """(exit code, stdout, stderr) of a child process with at most ``CHILD_MEMORY`` bytes of address space."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    src = str(Path(isoconn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoconn", *argv], capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def reject_constant(name):
@@ -155,7 +176,7 @@ def argvs(draw):
             argv += ["--enumerate", "--matrix", draw(matrix)]
             sample = draw(st.sampled_from([[], ["--sample"], ["--no-sample"]]))
             dedupe = draw(st.sampled_from([[], ["--no-dedupe"]]))
-            limits = ["0", "-1", "1", "2", "nan", "1000000000"]
+            limits = ["0", "-1", "1", "2", "nan", HUGE_LIMIT]
             argv += sample + dedupe
             argv += draw(st.sampled_from([[], ["--limit", draw(st.sampled_from(limits))]]))
             argv += draw(st.sampled_from([[], ["--seed", "-1"], ["--seed", "7"]]))
@@ -204,7 +225,7 @@ class TestContract:
             ["spectrum", "--frobnicate"],
             ["isospectral", "--enumerate", "--matrix", "l1.json", "--limit", "nan"],
             # Kept relabelings over the family's entry cap, refused before any draw.
-            ["isospectral", "--enumerate", "--sample", "--no-dedupe", "--matrix", "l1.json", "--limit", "1000000000"],
+            ["isospectral", "--enumerate", "--sample", "--no-dedupe", "--matrix", "l1.json", "--limit", HUGE_LIMIT],
             ["spectrum", "--matrix", "l1.json", "--output", "missing/out.json"],
             ["zone", "--input", "config.json", "--mobile", "a3", "--bounds", "0,4,1,3", "--resolution", "2.5,1"],
             ["parametric", "--alpha", "nan", "--beta", "1"],
@@ -215,6 +236,9 @@ class TestContract:
             ["connectivity", "--input", "config_sigma_inf.json"],
             ["moves", "--input", "config_range_inf.json", "--mobile", "a3"],
             ["integrate", "--input", "config.json", "--path", "path4_0.json"],  # "steps": 2.5
+            ["integrate", "--input", "config.json", "--path", "path3_4.json"],  # a third coordinate, dropped before
+            ["integrate", "--input", "config.json", "--path", "path3_5.json"],  # one coordinate, an IndexError before
+            ["integrate", "--input", "config.json", "--path", "path3_6.json"],  # an object, not a pair
             ["spectrum", "--matrix", "order_inf.json"],  # was an OverflowError traceback
             ["connectivity", "--input", "config_range_huge.json"],  # so was an integer range past float64
             ["spectrum", "--matrix", "entry_huge.json"],  # and an integer matrix entry past float64

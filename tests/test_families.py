@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isoconn import (
     InvalidTransformError,
     NotBijectionError,
+    NotLaplacianError,
     OrderTooLargeError,
     SquareMatrix,
     build_laplacian,
@@ -32,6 +33,8 @@ from conftest import (
     random_config,
 )
 
+NOT_LAPLACIAN = SquareMatrix.from_rows([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # positive off-diagonal
+
 
 def brute_force_conjugates(rows):
     """Oracle: all distinct non-identity relabeling conjugates, by direct matmul."""
@@ -47,6 +50,14 @@ def brute_force_conjugates(rows):
 
 
 class TestSimilarityTransform:
+    def test_orders_must_agree(self, l1):
+        with pytest.raises(InvalidTransformError, match="^orders differ: 4 vs 3$"):
+            similarity_transform(l1, permutation_matrix([2, 1, 0]))
+
+    def test_base_must_be_a_laplacian(self):
+        with pytest.raises(NotLaplacianError, match="^base matrix fails structural Laplacian validation$"):
+            similarity_transform(NOT_LAPLACIAN, permutation_matrix([2, 1, 0]))
+
     def test_reversal_reproduces_reference(self, l1, l2):
         entry = similarity_transform(l1, permutation_matrix(J1_PERM))
         assert entry.result.equals(l2)
@@ -78,6 +89,10 @@ class TestSimilarityTransform:
 
 
 class TestPermutationFamily:
+    def test_base_must_be_a_laplacian(self):
+        with pytest.raises(NotLaplacianError, match="^base matrix fails structural Laplacian validation$"):
+            permutation_family(NOT_LAPLACIAN)
+
     def test_deduped_base_family_matches_oracle(self, l1, l2, l3):
         entries = permutation_family(l1, dedupe=True)
         assert len(entries) == 6
@@ -150,6 +165,12 @@ class TestPermutationFamily:
 
 
 class TestRelabelConfiguration:
+    @pytest.mark.parametrize("perm", [(0, 1), (0, 1, 2, 3)])
+    def test_one_entry_per_agent(self, perm):
+        config = make_config([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        with pytest.raises(ValueError, match=f"^permutation length {len(perm)} != agent count 3$"):
+            relabel_configuration(config, perm)
+
     def test_identity_is_noop(self):
         config = make_config([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         assert relabel_configuration(config, (0, 1, 2)) == config

@@ -89,6 +89,18 @@ class TestSquareMatrix:
         with pytest.raises(ValueError, match=r"^matrix order must be >= 1$"):
             SquareMatrix.identity(n)
 
+    def test_rejects_order_zero(self):
+        with pytest.raises(ValueError, match=r"^matrix order must be >= 1$"):
+            SquareMatrix(np.zeros((0, 0)))
+
+    def test_isclose_across_orders_is_false(self, l1):
+        assert not l1.isclose(SquareMatrix.identity(3), 1e9)
+
+    @pytest.mark.parametrize("data", [[[1.0]], "rows", None, {"order": 1}])
+    def test_json_must_be_an_object_with_rows(self, data):
+        with pytest.raises(ValueError, match="^matrix JSON must be an object with a 'rows' field$"):
+            SquareMatrix.from_json_dict(data)
+
     def test_entries_are_immutable(self, l1):
         with pytest.raises(ValueError):
             l1.entries[0, 0] = 99.0

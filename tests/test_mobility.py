@@ -15,6 +15,7 @@ from isoconn import (
     DegenerateFiedlerError,
     InvalidVariationError,
     NonFiniteError,
+    NotLaplacianError,
     OrderTooSmallError,
     SquareMatrix,
     algebraic_connectivity,
@@ -38,6 +39,11 @@ def lambda2_of(config):
 
 
 class TestBlockDecompose:
+    def test_matrix_must_be_a_laplacian(self):
+        positive_offdiagonal = SquareMatrix.from_rows([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NotLaplacianError, match="^matrix fails structural Laplacian validation$"):
+            block_decompose(positive_offdiagonal, 0)
+
     def test_two_node_smallest_case(self):
         w = 0.6
         lap = SquareMatrix.from_rows([[w, -w], [-w, w]])
@@ -111,6 +117,10 @@ class TestBlockDecompose:
 
 
 class TestConnectivityDifferential:
+    def test_orders_must_agree(self, l1):
+        with pytest.raises(InvalidVariationError, match="^orders differ: 4 vs 3$"):
+            connectivity_differential(l1, SquareMatrix(np.zeros((3, 3))))
+
     def test_zero_variation(self, l1):
         zero = SquareMatrix(np.zeros((4, 4)))
         assert connectivity_differential(l1, zero) == 0.0
@@ -739,6 +749,38 @@ class TestStackedPathSolves:
         config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
         with pytest.raises(NonFiniteError, match="waypoint 1"):
             integrate_connectivity_change(config, 2, [(1.0, 1.0), (bad, 2.2)], 50)
+
+    @pytest.mark.parametrize(
+        "waypoints,message",
+        [
+            ([(0.0, 0.0, 5.0), (1.0, 1.0, 7.0)], r"waypoint 0 must be two numbers \(x, y\), got length 3"),
+            ([(1.0, 1.0), (1.0,)], r"waypoint 1 must be two numbers \(x, y\), got length 1"),
+            ([(1.0, 1.0), ()], r"waypoint 1 must be two numbers \(x, y\), got length 0"),
+            # The message shows no value: a 5000-digit int cannot be formatted.
+            ([(1.0, 1.0), (10**5000, 1.0, 2.0)], r"waypoint 1 must be two numbers \(x, y\), got length 3"),
+            ([(1.0, 1.0), 5.0], r"waypoints must be a sequence of \(x, y\) pairs"),
+            ([(1.0, 1.0), {1.0, 2.0}], r"waypoints must be a sequence of \(x, y\) pairs"),
+            ([(1.0, 1.0), {"x": 1.0, "y": 2.0}], r"waypoints must be a sequence of \(x, y\) pairs"),
+            (5, r"waypoints must be a sequence of \(x, y\) pairs"),
+            (None, r"waypoints must be a sequence of \(x, y\) pairs"),
+        ],
+    )
+    def test_a_waypoint_must_be_two_numbers(self, waypoints, message):
+        # A third coordinate used to be dropped without a word, and a single
+        # one leaked IndexError.
+        config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_connectivity_change(config, 2, waypoints, 50)
+
+    def test_waypoints_of_any_sequence_kind(self):
+        config = make_config([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, 2.5)], comm_range=3.0)
+        path = [(1.0, 1.0), (1.0, 1.0), (1.0, 2.9), (1.2, 1.5)]
+        want = integrate_connectivity_change(config, 2, path, 50)
+        assert want.warnings  # the walk crosses the range
+        for kind in (np.array, lambda p: [list(w) for w in p], lambda p: iter(tuple(np.array(w) for w in p))):
+            assert integrate_connectivity_change(config, 2, kind(path), 50) == want
+        for short in ([], [(1.0, 1.0)], [(1.0, 1.0)] * 3, np.empty((0, 2))):
+            assert integrate_connectivity_change(config, 2, short, 50) == mobility.PathIntegralResult(0.0, 0.0)
 
     def test_huge_finite_waypoint_is_out_of_range(self):
         # The suite turns numpy warnings into failures, so this also checks the

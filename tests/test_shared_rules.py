@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from isoconn import (
     Agent,
+    AnalysisError,
     AgentConfiguration,
     DegenerateFiedlerError,
     EmptyGridError,
@@ -567,3 +568,70 @@ def test_an_integer_past_float64_meets_the_check_of_inf(name, sign):
     got = outcome(call, sign * 10**400)
     assert got == outcome(call, sign * math.inf)
     assert not (isinstance(got, tuple) and got[0] is OverflowError)
+
+
+# The integer rule: every public integer parameter takes an int, a numpy
+# integer or an integral float as the equal int, and refuses a bool, a
+# fraction or a string with a ValueError naming it.  Each row is (call of
+# the value, name in the message, a valid integer).
+INT_CALLS = {
+    "permutation_family.limit": (lambda v: permutation_family(L, limit=v), "limit", 2),
+    "permutation_family.seed": (lambda v: permutation_family(L, limit=2, sample=True, seed=v), "seed", 3),
+    "integrate_connectivity_change.steps": (
+        lambda v: integrate_connectivity_change(CONFIG, 2, [(1.0, 2.0), (1.5, 2.0)], v), "steps", 3
+    ),
+    "integrate_connectivity_change.mobile": (
+        lambda v: integrate_connectivity_change(CONFIG, v, [(1.0, 2.0), (1.5, 2.0)], 3), "agent index", 2
+    ),
+    "block_decompose.agent": (lambda v: block_decompose(build_laplacian(CONFIG), v), "agent index", 1),
+    "laplacian_motion_derivative.mobile": (
+        lambda v: laplacian_motion_derivative(CONFIG, v, (1.0, 0.0)), "agent index", 2
+    ),
+    "mirror_moves.mobile": (lambda v: mirror_moves(CONFIG, v), "agent index", 2),
+    "iso_connectivity_zone.mobile": (lambda v: iso_connectivity_zone(CONFIG, v, ZONE_GRID, tol=0.5), "agent index", 2),
+    "with_position.index": (lambda v: CONFIG.with_position(v, 1.0, 2.5), "agent index", 2),
+    "GridSpec.nx": (lambda v: GridSpec(0.0, 1.0, 0.0, 1.0, v, 1), "nx", 2),
+    "GridSpec.ny": (lambda v: GridSpec(0.0, 1.0, 0.0, 1.0, 1, v), "ny", 2),
+    "SquareMatrix.identity.n": (lambda v: SquareMatrix.identity(v), "n", 3),
+    "ones_axis_rotation.n": (lambda v: ones_axis_rotation(v, 0.3), "n", 4),
+    "permutation_matrix.entry": (lambda v: permutation_matrix([v, 0, 1]), "permutation entry", 2),
+    "relabel_configuration.entry": (lambda v: relabel_configuration(CONFIG, [v, 0, 1]), "permutation entry", 2),
+    "SquareMatrix.from_json_dict.order": (
+        lambda v: SquareMatrix.from_json_dict({"order": v, "rows": L.entries.tolist()}), "order", 4
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_CALLS))
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, float])
+def test_integers_keep_the_outcome_of_the_equal_int(name, kind):
+    call, _, whole = INT_CALLS[name]
+    want = outcome(call, whole)
+    assert isinstance(want, str), want
+    assert outcome(call, kind(whole)) == want
+
+
+@pytest.mark.parametrize("name", sorted(INT_CALLS))
+@pytest.mark.parametrize("value", [True, False, 2.5, "2", np.float64(0.5)])
+def test_non_integers_are_refused_by_name(name, value):
+    # seed=True used to draw as seed 1 and seed="x" leaked numpy's TypeError.
+    call, label, _ = INT_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(label)} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(INT_CALLS))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_huge_integer_is_no_leak(name, sign):
+    # A 5000-digit int is answered, or refused with a short message: never
+    # Python's digit limit, an OverflowError or a TypeError.
+    got = outcome(INT_CALLS[name][0], sign * 10**5000)
+    if isinstance(got, tuple):
+        assert issubclass(got[0], (ValueError, IndexError, AnalysisError)) and len(got[1]) < 200, got
+
+
+def test_a_negative_seed_is_refused_by_name():
+    # It leaked numpy's "expected non-negative integer" from the generator.
+    for sample in (True, False):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            permutation_family(L, limit=2, sample=sample, seed=-1)

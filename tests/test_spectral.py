@@ -37,6 +37,10 @@ class TestAlgebraicConnectivity:
         assert rep.lambda2 == pytest.approx(2.0, abs=1e-9)
         assert np.abs(rep.spectrum - np.array(L1_SPECTRUM)).max() <= 1e-9
 
+    def test_order_one_has_no_second_eigenvalue(self):
+        with pytest.raises(NotLaplacianError, match="^need order >= 2 for a second eigenvalue$"):
+            algebraic_connectivity(SquareMatrix.from_rows([[0.0]]))
+
     def test_two_node_closed_form(self):
         w = 0.37
         rep = algebraic_connectivity(SquareMatrix.from_rows([[w, -w], [-w, w]]))

@@ -272,6 +272,15 @@ class TestConfigurationJson:
         again = AgentConfiguration.from_json_dict(config.to_json_dict())
         assert again == config
 
+    @pytest.mark.parametrize("data", [[], "config", None])
+    def test_json_must_be_an_object(self, data):
+        with pytest.raises(ValueError, match="^configuration JSON must be an object$"):
+            AgentConfiguration.from_json_dict(data)
+
+    def test_one_agent_is_refused(self):
+        with pytest.raises(ValueError, match="^a configuration needs at least 2 agents$"):
+            make_config([(0.0, 0.0)])
+
     def test_missing_field(self):
         with pytest.raises(ValueError):
             AgentConfiguration.from_json_dict({"sigma": 1.0, "agents": []})
