@@ -432,8 +432,6 @@ def main(argv=None) -> int:
         return _fail("InvalidInput", str(exc), 2)
     except AnalysisError as exc:
         return _fail(_error_name(exc), str(exc), 1)
-    except IndexError as exc:
-        return _fail("IndexOutOfRange", str(exc), 1)
     return 0
 
 

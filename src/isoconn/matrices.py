@@ -7,6 +7,8 @@ fixed sweep order, fixed rotation choice, fixed eigenvector sign convention.
 Arrays are solved by ``_eigh_stack``: a single matrix by list loops, a larger
 stack by vectorised sweeps.  The dense-family check's 4x4 rows, as nested lists
 of floats, are solved by ``_list_eigenvalues`` through a generated kernel.
+``_count_below`` counts a stack's eigenvalues below a shift by the inertia of an
+LDL^T factorisation, for the zone scan's filter.
 """
 
 from __future__ import annotations
@@ -465,6 +467,69 @@ def _list_eigenvalues(rows: list[list[float]]) -> list[float]:
     if mag <= _SCALE_BAND and not 0.0 < mag < 1.0 / _SCALE_BAND:
         return sorted(_unrolled_kernel(len(rows))(rows))
     return _eigh_stack(np.array([rows]))[0][0].tolist()
+
+
+# Why a count of ``_count_below`` holds.  Sylvester's law of inertia: L^ is
+# unit lower triangular, so L^ D^ L^T has as many negative eigenvalues as D^
+# has negative pivots (Parlett, The Symmetric Eigenvalue Problem, ch. 3).
+# Its distance to A = L - x I: the shifted diagonal rounds once, by at most
+# u |a_ii| (u = 2^-53), and with w_jk the computed column k below the pivot
+# d_k and l_jk = fl(w_jk / d_k), entry (i, j) of the factor is a_ij minus
+# j sequential products, so (as for Gaussian elimination, Higham, Accuracy
+# and Stability, 2nd ed., chs. 9-11)
+#   |a_ij - sum_k l_ik w_jk - w_ij| <= gamma_n (sum_k |l_ik w_jk| + |w_ij|),
+# and |w_jk - d_k l_jk| <= u |w_jk| <= u |d_k l_jk| / (1 - u).  Together
+#   |A - L^ D^ L^T| <= gamma_(n+1) |L^| |D^| |L^|^T   (entrywise), and
+#   ||A - L^ D^ L^T||_2 <= gamma_(n+1) ||L^ |D^|^(1/2)||_F^2
+#                        = gamma_(n+1) sum_ik l_ik^2 |d_k|,
+# a sum taken while factoring, with no product matrix or residual.  The
+# bound used, 2 (n + 2) u (that sum + max_i |a_ii|), is at least twice
+# gamma_(n+1) times the exact sum plus the diagonal's rounding.  The factor
+# two covers the rounding of the sum (at most 2n + 2 roundings of
+# nonnegative terms), that of the test itself, and underflow, which adds at
+# most 2^-1074 per operation, far below any margin used (1e-9 at the
+# least).  Finite, normal pivots keep every step inside that rounding
+# model, and the scaling band keeps the entries from overflowing.  A
+# certified count therefore holds for a symmetric matrix within margin / 2
+# of L - x I, and by Weyl's inequality each eigenvalue of L lies within
+# margin / 2 of its place in that count.
+def _count_below(stack: np.ndarray, shifts: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Per slice of a (G, n, n) stack of exactly symmetric matrices, the eigenvalues below ``shifts[g]``, or -1.
+
+    The count is the number of negative pivots of an unpivoted LDL^T
+    factorisation of ``stack[g] - shifts[g] * I``; it is certified, and
+    returned, only where the factorisation is provably within
+    ``margin[g] / 2`` of that matrix in the 2-norm (see the note above), so
+    that the count misplaces no eigenvalue by more than ``margin[g] / 2``.
+    Elementwise ufuncs in the (n, n, G) layout of ``_jacobi_stack``: no BLAS
+    call, and one copy of the stack.
+    """
+    g_count, n = stack.shape[0], stack.shape[-1]
+    a = np.moveaxis(stack, 0, -1).copy()
+    diag = np.arange(n)
+    a[diag, diag] -= shifts
+    total = np.abs(a[diag, diag]).max(axis=0)
+    buf = np.empty((n, g_count))
+    # A zero pivot divides by zero and an overflowing one leaves inf or nan,
+    # and each leaves its lane uncertified.
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            d = a[k, k]
+            lk = a[k + 1:, k] / d
+            total += np.abs(d) * (1.0 + (lk * lk).sum(axis=0))
+            # The Schur complement's lower triangle, one column at a time;
+            # the diagonal then holds the pivots, each final once reached.
+            for j in range(k + 1, n):
+                col, prod = a[j:, j], buf[: n - j]
+                np.multiply(lk[j - k - 1:], a[j, k], out=prod)
+                np.subtract(col, prod, out=col)
+        pivots = a[diag, diag]
+        normal = (np.abs(pivots) >= np.finfo(float).tiny).all(axis=0)
+        certified = normal & ((n + 2) * 2.0**-52 * total <= 0.5 * margin)
+    exps = _band_exponents(stack)
+    if exps is not None:
+        certified &= exps == 0
+    return np.where(certified, (pivots < 0.0).sum(axis=0), -1)
 
 
 def _check_tol(tol: float, name: str = "tol") -> float:

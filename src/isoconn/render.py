@@ -41,11 +41,18 @@ def _scale_positions(pos: np.ndarray) -> np.ndarray:
 
 
 def render_graph_svg(positions: np.ndarray, labels: list[str], weights: np.ndarray) -> str:
-    """SVG of n >= 1 nodes (finite x, y rows) with n labels; edge opacity follows the finite n x n weights."""
+    """SVG of n >= 1 nodes (finite x, y rows) with n string labels; edge opacity follows the finite n x n weights."""
     pts = _scale_positions(_finite_rows(positions, None, 2, "positions must be one or more rows of 2 finite numbers"))
     n = pts.shape[0]
-    if len(labels) != n:
-        raise ValueError(f"labels must be {n}, one per position, got {len(labels)}")
+    try:
+        count = len(labels)
+    except TypeError:  # None, or no sequence at all
+        count = type(labels).__name__
+    if count != n:
+        raise ValueError(f"labels must be {n}, one per position, got {count}")
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError(f"labels must be strings, got {type(label).__name__}")
     weights = _finite_rows(weights, n, n, f"weights must be {n} rows of {n} finite numbers")
     max_w = float(weights.max()) if weights.max() > 0 else 1.0
     lines = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -19,11 +19,22 @@ from .errors import (
     NonFiniteError,
     NonPositiveParameterError,
 )
-from .matrices import SquareMatrix, _as_float, _as_int, _check_tol, _eigh_stack, _list_eigenvalues, _shown, _stack_slices
+from .matrices import (
+    SquareMatrix,
+    _as_float,
+    _as_int,
+    _check_tol,
+    _count_below,
+    _eigh_stack,
+    _entry_scale,
+    _list_eigenvalues,
+    _shown,
+    _stack_slices,
+)
 from .topology import AgentConfiguration, _check_agent, _moved_laplacians
 
 TARGET_CONNECTIVITY = 4.0
-# Most cells a grid may have: a zone scan solves every cell, so more would
+# Most cells a grid may have: a zone scan builds every cell, so more would
 # ask for unbounded work the way an unbounded path step count did.
 _MAX_CELLS = 1 << 24
 
@@ -211,6 +222,27 @@ class ZoneSample:
         }
 
 
+def _may_accept(laps: np.ndarray, target: float, tol: float) -> np.ndarray:
+    """Mask of the (G, n, n) stack's cells whose lambda2 may lie within ``tol`` of ``target``.
+
+    Every other cell is certified to lie more than m / 2 outside the band,
+    m = 1e-9 * ``_entry_scale`` of its Laplacian: it has at most one
+    eigenvalue below target + tol + m, or at least two below target - tol - m,
+    each count certified by ``_count_below`` to within m / 2.  The solve's own
+    error in lambda2, about 1e-14 * ||L||_F, is far below m / 4, and so is
+    the rounding of the shifts and of the acceptance test, under
+    2^-51 (|target| + tol + m), while |target| + tol <= 2^40 m; so no cell
+    the solve would accept is dropped.  Past that bound every cell is kept.
+    """
+    m = 1e-9 * _entry_scale(laps, axis=(1, 2))
+    below_hi = _count_below(laps, target + tol + m, m)
+    keep = (below_hi < 0) | (below_hi >= 2)
+    lanes = np.flatnonzero(below_hi >= 2)
+    below_lo = _count_below(laps[lanes], target - tol - m[lanes], m[lanes])
+    keep[lanes[below_lo >= 2]] = False
+    return keep | (abs(target) + tol > 2.0**40 * m)
+
+
 def iso_connectivity_zone(
     config: AgentConfiguration,
     mobile: int,
@@ -221,13 +253,15 @@ def iso_connectivity_zone(
     """Scan a grid for mobile-agent positions with connectivity near ``target``.
 
     Each cell center is tried in row-major order; the default target is the
-    configuration's own connectivity level.  Cells that would stack the mobile
-    agent on top of another one are never solved, and every cell not accepted
-    counts as rejected.  The other cells are taken from the grid one
-    fixed-size stack at a time and solved together, each cell bit-identical
-    to its own single solve, so memory grows with the accepted points only.
-    The default target is the first cell of the stream, the mobile agent at
-    its own position.  ``tol`` and ``target`` must be finite.
+    configuration's own connectivity level, solved first on its own.  Cells
+    that would stack the mobile agent on top of another one are never solved,
+    and every cell not accepted counts as rejected.  The other cells are
+    taken from the grid one fixed-size stack at a time.  An eigenvalue count
+    of each cell's shifted Laplacian (``_count_below``) rejects the cells
+    whose lambda2 is certified to lie outside the band; the rest are solved
+    together, each cell bit-identical to its own single solve, so memory
+    grows with the accepted points only.  ``tol`` and ``target`` must be
+    finite.
     """
     tol = _check_tol(tol)
     if target is not None:
@@ -240,15 +274,16 @@ def iso_connectivity_zone(
     fixed = set(map(tuple, np.delete(pos, mobile, axis=0).tolist()))
     cells = (c for c in grid.centers() if c not in fixed)
     if target is None:
-        cells = chain([pos[mobile]], cells)
+        own = _moved_laplacians(pos, mobile, pos[mobile][None], config.sigma, config.comm_range)
+        target = _eigh_stack(own)[0][0, 1].item()
     per_chunk = _stack_slices(n, vectors=False)
     accepted: list[ZonePoint] = []
     while chunk := list(islice(cells, per_chunk)):
         laps = _moved_laplacians(pos, mobile, np.array(chunk), config.sigma, config.comm_range)
-        solved = _eigh_stack(laps)[0][:, 1].tolist()
-        if target is None:
-            target, chunk, solved = solved[0], chunk[1:], solved[1:]
-        for (x, y), lam in zip(chunk, solved):
+        keep = np.flatnonzero(_may_accept(laps, target, tol))
+        if not keep.size:
+            continue
+        for i, lam in zip(keep.tolist(), _eigh_stack(laps[keep])[0][:, 1].tolist()):
             if abs(lam - target) <= tol:
-                accepted.append(ZonePoint(x, y, lam))
+                accepted.append(ZonePoint(*chunk[i], lam))
     return ZoneSample(target, tol, grid, tuple(accepted))

@@ -268,6 +268,18 @@ class TestContract:
         message = json.loads(err)["message"]
         assert str(base / "missing/out.json") in message and ".isoconn-tmp-" not in message
 
+    def test_an_unencodable_output_leaves_no_file(self, tmp_path):
+        # A lone surrogate id, which json.loads accepts, cannot be written as
+        # UTF-8: the write fails with an error other than OSError, which is
+        # re-raised after the temporary file is removed.
+        agents = [{**CONFIG["agents"][0], "id": "\ud800"}, *CONFIG["agents"][1:]]
+        (tmp_path / "c.json").write_text(json.dumps({**CONFIG, "agents": agents}))
+        out = tmp_path / "out.svg"
+        code, _, err = check_contract(["render", "--input", str(tmp_path / "c.json"), "--output", str(out)])
+        assert code == 2 and json.loads(err)["error"] == "InvalidInput"
+        assert "surrogates not allowed" in json.loads(err)["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_usage_error_in_a_process(self):
         proc = subprocess.run([sys.executable, "-m", "isoconn", "spectrum", "--frobnicate"], capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""

@@ -67,8 +67,24 @@ def test_one_label_per_position(labels):
         render_graph_svg(POSITIONS, labels, WEIGHTS)
 
 
+@pytest.mark.parametrize("labels,got", [(None, "NoneType"), (3, "int")])
+def test_labels_must_be_a_sequence(labels, got):
+    # None leaked a TypeError from len().
+    with pytest.raises(ValueError, match=f"^labels must be 3, one per position, got {got}$"):
+        render_graph_svg(POSITIONS, labels, WEIGHTS)
+
+
+@pytest.mark.parametrize("labels,got", [(["a", 5, "c"], "int"), (["a", "b", None], "NoneType"), ([b"a", "b", "c"], "bytes")])
+def test_labels_must_be_strings(labels, got):
+    # A number leaked an AttributeError from the escaping.
+    with pytest.raises(ValueError, match=f"^labels must be strings, got {got}$"):
+        render_graph_svg(POSITIONS, labels, WEIGHTS)
+
+
 def test_matrix_labels_are_counted():
     matrix = SquareMatrix.from_rows(K4_ROWS)
     assert render_matrix_svg(matrix) == render_matrix_svg(matrix, ["1", "2", "3", "4"])
     with pytest.raises(ValueError, match="^labels must be 4, one per position, got 3$"):
         render_matrix_svg(matrix, ["1", "2", "3"])
+    with pytest.raises(ValueError, match="^labels must be strings, got int$"):
+        render_matrix_svg(matrix, [1, 2, 3, 4])

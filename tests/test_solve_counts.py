@@ -92,10 +92,13 @@ def test_single_matrix_calls(solves, call, expected):
     assert solves == {"scalar": expected, "stacks": 0, "slices": 0}
 
 
-def test_zone_solves_its_target_in_its_first_stack(solves, config):
+def test_zone_solves_its_target_alone_and_the_cells_it_may_accept(solves, config):
+    # The filter's eigenvalue counts leave 6 of the 12 cells, and the scan
+    # accepts all 6.
     grid = GridSpec(0.0, 8.0, 0.0, 8.0, 4, 3)
     sample = iso_connectivity_zone(config, 1, grid, tol=0.5)
-    assert solves == {"scalar": 0, "stacks": 1, "slices": 12 + 1}
+    assert solves == {"scalar": 1, "stacks": 1, "slices": 6}
+    assert len(sample.accepted) == 6
     assert sample.target == algebraic_connectivity(build_laplacian(config)).lambda2
 
 

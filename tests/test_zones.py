@@ -21,7 +21,8 @@ from isoconn import (
     symmetric_eigendecomposition,
 )
 from isoconn import matrices, zones
-from isoconn.matrices import _eigh_stack, _stack_slices
+from isoconn.matrices import _count_below, _eigh_stack, _entry_scale, _stack_slices
+from isoconn.topology import _moved_laplacians
 from conftest import L4P_ROWS, L4PP_ROWS, L4P_SPECTRUM, L4PP_SPECTRUM, _eigh_core, geometric_config, make_config
 
 
@@ -320,34 +321,42 @@ class TestIsoConnectivityZone:
         assert set(data) == {"target", "tol", "grid", "accepted", "rejected_count"}
 
 
-def per_cell_zone(config, mobile, grid, target=None, tol=1e-6):
-    """Reference scan: one single solve per cell, in row-major order."""
-    if target is None:
-        target = float(_eigh_core(build_laplacian(config).entries)[0][1])
-    accepted, rejected = [], 0
+def per_cell_lambda2(config, mobile, grid):
+    """The configuration's own lambda2 and (x, y, lambda2) of every cell in row-major order (None on a fixed agent).
+
+    One single reference solve each.
+    """
+    cells = []
     for x, y in grid.centers():
         try:
             moved = config.with_position(mobile, x, y)
         except CoincidentAgentsError:
-            rejected += 1
+            cells.append((x, y, None))
             continue
-        lam2 = float(_eigh_core(build_laplacian(moved).entries)[0][1])
-        if abs(lam2 - target) <= tol:
-            accepted.append({"x": x, "y": y, "lambda2": lam2})
-        else:
-            rejected += 1
+        cells.append((x, y, float(_eigh_core(build_laplacian(moved).entries)[0][1])))
+    return float(_eigh_core(build_laplacian(config).entries)[0][1]), cells
+
+
+def per_cell_zone(config, mobile, grid, target=None, tol=1e-6, solved=None):
+    """Reference scan: one single solve per cell, in row-major order (or ``per_cell_lambda2``'s ``solved``)."""
+    own, cells = solved or per_cell_lambda2(config, mobile, grid)
+    if target is None:
+        target = own
+    accepted = [
+        {"x": x, "y": y, "lambda2": lam} for x, y, lam in cells if lam is not None and abs(lam - target) <= tol
+    ]
     return {
         "target": target,
         "tol": tol,
         "grid": grid.to_json_dict(),
         "accepted": accepted,
-        "rejected_count": rejected,
+        "rejected_count": len(cells) - len(accepted),
     }
 
 
-def assert_same_zone(config, mobile, grid, **kwargs):
+def assert_same_zone(config, mobile, grid, solved=None, **kwargs):
     got = iso_connectivity_zone(config, mobile, grid, **kwargs).to_json_dict()
-    want = per_cell_zone(config, mobile, grid, **kwargs)
+    want = per_cell_zone(config, mobile, grid, solved=solved, **kwargs)
     assert got == want
     # JSON text also tells -0.0 from 0.0.
     assert json.dumps(got) == json.dumps(want)
@@ -398,7 +407,9 @@ class TestZoneMatchesPerCellScan:
         target = float(_eigh_core(build_laplacian(config).entries)[0][1])
         data = assert_same_zone(config, 3, grid, tol=0.2 * target)
         assert data["accepted"] and data["rejected_count"]
-        assert len(sizes) == 2 and max(sizes) <= matrices._STACK_ENTRIES
+        # The default target alone, then the cells of each stack that the
+        # filter leaves.
+        assert sizes[0] == n * n and len(sizes) == 1 + 2 and max(sizes) <= matrices._STACK_ENTRIES
 
 
 class TestZoneStreaming:
@@ -420,26 +431,35 @@ class TestZoneStreaming:
         monkeypatch.setattr(zones, "_eigh_stack", recording)
         got = assert_same_zone(config, 1, grid, tol=0.5)
         assert json.dumps(got) == json.dumps(want)
-        assert sizes == [1] * (1 + 6)
+        # The target, then the 3 of the 6 cells that the filter leaves.
+        assert sizes == [1] * (1 + 3)
 
     def test_coincident_cells_leave_before_stacking(self, monkeypatch):
-        # Three fixed agents sit on cell centres; 13 of the 16 cells are
-        # solved, three per stack, the first stack holding the target too.
+        # Three fixed agents sit on cell centres; the other 13 of the 16
+        # cells are built three per stack, after the default target alone,
+        # and only the cells that the filter leaves are solved.
         config = make_config([(0.5, 0.5), (2.5, 1.5), (1.0, 1.0), (3.5, 3.5)], comm_range=3.0)
         grid = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4)
-        sizes = []
+        built, sizes = [], []
+
+        def building(pos, mobile, points, sigma, comm_range):
+            built.append(len(points))
+            return _moved_laplacians(pos, mobile, points, sigma, comm_range)
 
         def recording(stack, vectors=False):
             sizes.append(stack.shape[0])
             return _eigh_stack(stack, vectors)
 
         monkeypatch.setattr(matrices, "_STACK_ENTRIES", 3 * 4 * 4)
+        monkeypatch.setattr(zones, "_moved_laplacians", building)
         monkeypatch.setattr(zones, "_eigh_stack", recording)
-        for target in (None, 0.1):
+        for target, solved in ((None, [1, 3, 3, 3, 3, 1]), (0.1, [2, 2, 1, 2, 1])):
+            built.clear()
             sizes.clear()
             got = assert_same_zone(config, 2, grid, target=target, tol=0.5)
             assert got["rejected_count"] >= 3
-            assert sizes[:-1] == [3] * 4 and sum(sizes) == 13 + (target is None)
+            assert built == [1] * (target is None) + [3] * 4 + [1]
+            assert sizes == solved
 
     def test_given_target_with_every_cell_coincident_solves_nothing(self, monkeypatch):
         config = make_config([(0.5, 0.5), (1.5, 0.5), (3.0, 3.0)])
@@ -468,3 +488,123 @@ class TestZoneStreaming:
                 tracemalloc.stop()
             assert sample.accepted == () and sample.rejected_count == k * k
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+CORPUS_TOLS = (1e-9, 1e-6, 0.05, 0.5)
+
+
+def band_edge_targets(lam, tol, scale):
+    """Targets that put a cell of this lambda2 on, just inside and just outside both edges of the band."""
+    return [lam + side * tol + step * scale for side in (-1.0, 1.0) for step in (0.0, 1e-12, -1e-12, 1e-10, -1e-10)]
+
+
+class TestZoneFilter:
+    """The certified eigenvalue counts reject only cells that the solve rejects."""
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 32, 64])
+    def test_scan_equals_the_per_cell_scan_on_both_band_edges(self, n):
+        rng = np.random.default_rng([n, 26])
+        config = geometric_config(rng, n)
+        mobile = int(rng.integers(n))
+        side = 10.0 * math.sqrt(n / 16.0)
+        grid = GridSpec(-1.0, side + 1.0, -1.0, side + 1.0, *((4, 3) if n <= 16 else (1, 1)))
+        solved = per_cell_lambda2(config, mobile, grid)
+        cells = [c for c in solved[1] if c[2] is not None]
+        pos = config.positions()
+        laps = _moved_laplacians(pos, mobile, np.array([c[:2] for c in cells]), config.sigma, config.comm_range)
+        lams = np.array([c[2] for c in cells])
+        scales = _entry_scale(laps, axis=(1, 2)).tolist()
+        for tol in CORPUS_TOLS:
+            assert_same_zone(config, mobile, grid, solved=solved, tol=tol)
+            # Each cell on each edge of the band: the filter keeps every cell
+            # that the solve accepts.
+            for lam, scale in zip(lams.tolist(), scales):
+                for target in band_edge_targets(lam, tol, scale):
+                    kept = zones._may_accept(laps, target, tol)
+                    assert kept[np.abs(lams - target) <= tol].all(), (tol, target)
+            # The whole scan on the first cell's edges.  Orders 32 and 64 scan
+            # one cell, whose solve takes longer: one target just inside the
+            # band and one just outside it stand for the list there.
+            targets = band_edge_targets(cells[0][2], tol, scales[0])
+            for target in targets if n <= 16 else targets[3:5]:
+                assert_same_zone(config, mobile, grid, solved=solved, target=target, tol=tol)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 24, 32, 48, 64])
+    def test_jacobi_lambda2_within_a_hundredth_of_the_margin(self, n):
+        # The margin is safe only while the solve's own error in lambda2 is
+        # far below it (np.linalg.eigvalsh serves here as the oracle).
+        rng = np.random.default_rng([n, 27])
+        config = geometric_config(rng, n)
+        side = 10.0 * math.sqrt(n / 16.0)
+        points = rng.uniform(-1.0, side + 1.0, size=(24 if n <= 16 else 3, 2))
+        laps = _moved_laplacians(config.positions(), 0, points, config.sigma, config.comm_range)
+        got = _eigh_stack(laps)[0][:, 1]
+        want = np.linalg.eigvalsh(laps)[:, 1]
+        assert (np.abs(got - want) <= 1e-9 * _entry_scale(laps, axis=(1, 2)) / 100).all()
+
+    def test_a_band_edge_that_rounds_keeps_every_cell(self):
+        # Around -2^50 a difference rounds by up to 1/8, so the solve accepts
+        # every lambda2 below 1/8 although the band ends at 0; the shift at
+        # the band's edge rounds the same way, and the counts alone would
+        # reject the cells above 1e-9.
+        config = make_config([(0.0, 0.0), (5.0, 0.0), (10.0, 0.0)], sigma=3.0, comm_range=6.0)
+        grid = GridSpec(8.0, 12.0, -1.0, 1.0, 4, 2)
+        data = assert_same_zone(config, 2, grid, target=-(2.0**50), tol=2.0**50)
+        assert len(data["accepted"]) == 8 and max(p["lambda2"] for p in data["accepted"]) > 0.1
+
+    def test_the_certificate_is_the_bound_of_the_note(self):
+        # The identity of order 2 at shift 0: no multipliers, pivots 1 and 1,
+        # so the bound is 2 (n + 2) u (1 + 1 + max |a_ii|) = 24 * 2^-53, and
+        # a count is certified at a margin of twice that and not below it.
+        eye = np.eye(2)[None]
+        margin = 48 * 2.0**-53
+        assert _count_below(eye, np.zeros(1), np.array([margin])).tolist() == [0]
+        assert _count_below(eye, np.zeros(1), np.array([np.nextafter(margin, 0.0)])).tolist() == [-1]
+
+    def test_out_of_band_slices_reach_the_solve(self):
+        lap = build_laplacian(geometric_config(np.random.default_rng(3), 6)).entries
+        lam = np.linalg.eigvalsh(lap)
+        shift = 0.5 * (lam[1] + lam[2])  # two eigenvalues below, clear of both
+        m = 1e-9 * float(_entry_scale(lap))
+        assert _count_below(lap[None], np.array([shift]), np.array([m])).tolist() == [2]
+        for k in (420, -420):  # the largest entry past 2^400 or under 2^-400
+            scaled = np.ldexp(lap, k)
+            margin = 1e-9 * float(_entry_scale(scaled))
+            assert _count_below(scaled[None], np.array([math.ldexp(shift, k)]), np.array([margin])).tolist() == [-1]
+            # A target far off the band would be rejected by the counts alone.
+            assert zones._may_accept(scaled[None], 1e3 * float(_entry_scale(scaled)), 1e-6).tolist() == [True]
+
+    def test_a_zero_pivot_reaches_the_solve(self):
+        # Two agents: the first pivot of L - x I is exactly zero at x = L[0, 0],
+        # and the last at x = 0.
+        lap = build_laplacian(make_config([(0.0, 0.0), (1.0, 0.0)], comm_range=2.0)).entries
+        m = 1e-9 * float(_entry_scale(lap))
+        assert _count_below(lap[None], np.array([0.5 * lap[0, 0]]), np.array([m])).tolist() == [1]
+        assert _count_below(np.stack([lap, lap]), np.array([lap[0, 0], 0.0]), np.array([m, m])).tolist() == [-1, -1]
+        tol = 0.25
+        target = lap[0, 0] - tol - m
+        for _ in range(64):
+            if target + tol + m == lap[0, 0]:
+                break
+            target = np.nextafter(target, lap[0, 0] if target + tol + m < lap[0, 0] else -math.inf)
+        assert target + tol + m == lap[0, 0]
+        # lambda2 = 2 L[0, 0] lies above the band, but no certified count says so.
+        assert abs(2.0 * lap[0, 0] - target) > tol
+        assert zones._may_accept(lap[None], float(target), tol).tolist() == [True]
+
+    def test_a_disconnected_target_reaches_the_solve(self, monkeypatch):
+        # Out of range of both fixed agents the mobile has lambda2 = 0, the
+        # default target; within range its cells are certified rejected.
+        config = make_config([(0.0, 0.0), (3.0, 0.0), (30.0, 0.0)], comm_range=5.0)
+        grid = GridSpec(-2.0, 22.0, -2.0, 2.0, 6, 2)
+        sizes = []
+
+        def recording(stack, vectors=False):
+            sizes.append(stack.shape[0])
+            return _eigh_stack(stack, vectors)
+
+        monkeypatch.setattr(zones, "_eigh_stack", recording)
+        data = assert_same_zone(config, 2, grid)
+        assert data["target"] == 0.0
+        assert all(p["lambda2"] == 0.0 for p in data["accepted"]) and data["rejected_count"]
+        assert sizes == [1, len(data["accepted"])]
