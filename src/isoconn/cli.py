@@ -50,20 +50,13 @@ def _load_json(path: str):
         raise CliInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> SquareMatrix:
+def _load(path: str, cls, what: str):
+    """``cls.from_json_dict`` of the JSON file at ``path``; ``what`` names the file in errors."""
     data = _load_json(path)
     try:
-        return SquareMatrix.from_json_dict(data)
+        return cls.from_json_dict(data)
     except (AnalysisError, ValueError, TypeError, KeyError) as exc:
-        raise CliInputError(f"invalid matrix file {path}: {exc}") from exc
-
-
-def _load_config(path: str) -> AgentConfiguration:
-    data = _load_json(path)
-    try:
-        return AgentConfiguration.from_json_dict(data)
-    except (AnalysisError, ValueError, TypeError, KeyError) as exc:
-        raise CliInputError(f"invalid configuration file {path}: {exc}") from exc
+        raise CliInputError(f"invalid {what} file {path}: {exc}") from exc
 
 
 def _single_matrix(args) -> SquareMatrix:
@@ -71,10 +64,10 @@ def _single_matrix(args) -> SquareMatrix:
     if args.input and paths:
         raise CliInputError("give either --input or --matrix, not both")
     if args.input:
-        return build_laplacian(_load_config(args.input))
+        return build_laplacian(_load(args.input, AgentConfiguration, "configuration"))
     if len(paths) != 1:
         raise CliInputError("expected exactly one --matrix file (or an --input configuration)")
-    return _load_matrix(paths[0])
+    return _load(paths[0], SquareMatrix, "matrix")
 
 
 def _parse_numbers(text: str, count: int, what: str, convert=float) -> list:
@@ -208,7 +201,7 @@ def _cmd_isospectral(args):
         if len(paths) != 1:
             raise CliInputError("--enumerate needs exactly one --matrix file")
         entries = permutation_family(
-            _load_matrix(paths[0]),
+            _load(paths[0], SquareMatrix, "matrix"),
             limit=args.limit,
             dedupe=args.dedupe,
             sample=args.sample,
@@ -217,7 +210,7 @@ def _cmd_isospectral(args):
         return [e.to_json_dict() for e in entries]
     if len(paths) != 2:
         raise CliInputError("comparison needs exactly two --matrix files")
-    a, b = _load_matrix(paths[0]), _load_matrix(paths[1])
+    a, b = _load(paths[0], SquareMatrix, "matrix"), _load(paths[1], SquareMatrix, "matrix")
     wa, wb = _symmetric_eigenvalues(a), _symmetric_eigenvalues(b)
     return {
         "isospectral": _spectra_agree(a, b, wa, wb, args.tol),
@@ -232,7 +225,7 @@ def _cmd_transform(args):
     if sum(chosen) != 1:
         raise CliInputError("give exactly one of --transform, --permutation, --rotation")
     if args.transform is not None:
-        q = _load_matrix(args.transform)
+        q = _load(args.transform, SquareMatrix, "matrix")
     elif args.permutation is not None:
         try:
             perm = [int(p) for p in args.permutation.split(",")]
@@ -249,7 +242,7 @@ def _cmd_transform(args):
 
 
 def _cmd_moves(args):
-    config = _load_config(args.input)
+    config = _load(args.input, AgentConfiguration, "configuration")
     mobile = config.index_of(args.mobile)
     solution = mirror_moves(config, mobile)
     ids = config.ids()
@@ -268,7 +261,7 @@ def _cmd_moves(args):
 
 
 def _cmd_integrate(args):
-    config = _load_config(args.input)
+    config = _load(args.input, AgentConfiguration, "configuration")
     data = _load_json(args.path)
     try:
         mobile = config.index_of(str(data["mobile"]))
@@ -281,7 +274,7 @@ def _cmd_integrate(args):
 
 
 def _cmd_zone(args):
-    config = _load_config(args.input)
+    config = _load(args.input, AgentConfiguration, "configuration")
     mobile = config.index_of(args.mobile)
     xmin, xmax, ymin, ymax = _parse_numbers(args.bounds, 4, "--bounds")
     nx, ny = _parse_numbers(args.resolution, 2, "--resolution", int)
@@ -308,7 +301,7 @@ def _cmd_parametric(args):
 
 def _cmd_render(args):
     if args.input and not args.matrix:
-        return render_configuration_svg(_load_config(args.input))
+        return render_configuration_svg(_load(args.input, AgentConfiguration, "configuration"))
     return render_matrix_svg(_single_matrix(args))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -91,17 +91,16 @@ def _shown(value) -> str:
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """Immutable dense real square matrix with finite entries."""
+    """Immutable dense real square matrix with finite entries, each a number by the float rule."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        try:
-            arr = np.array(self.entries, dtype=float)
-        except OverflowError:  # an int entry past float64: inf by the float rule
-            obj = np.array(self.entries, dtype=object)
-            arr = np.array([_as_float(x, "matrix entry") if type(x) is int else x for x in obj.flat], dtype=float)
-            arr = arr.reshape(obj.shape)
+        arr = self.entries
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):  # entry by entry, by the float rule
+            obj = np.array(arr, dtype=object)
+            arr = np.reshape([_as_float(x, "matrix entry") for x in obj.flat], obj.shape)
+        arr = np.array(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -391,9 +390,6 @@ def _band_exponents(stack: np.ndarray) -> np.ndarray | None:
     get exponent 0.
     """
     mags = np.abs(stack).max(axis=(1, 2), initial=0.0)
-    listed = mags.tolist()  # the common case first: every slice in the band
-    if listed and 1.0 / _SCALE_BAND <= min(listed) and max(listed) <= _SCALE_BAND:
-        return None
     outside = (mags > _SCALE_BAND) | ((mags < 1.0 / _SCALE_BAND) & (mags > 0.0))
     if not outside.any():
         return None
@@ -645,15 +641,7 @@ class TransformValidation:
         return self.orthonormal and self.fixes_ones
 
     def to_json_dict(self) -> dict:
-        return {
-            "orthonormal": self.orthonormal,
-            "fixes_ones": self.fixes_ones,
-            "is_permutation": self.is_permutation,
-            "is_identity": self.is_identity,
-            "orthonormality_residual": self.orthonormality_residual,
-            "ones_residual": self.ones_residual,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 def validate_iso_transform(transform: SquareMatrix, tol: float) -> TransformValidation:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,13 +126,7 @@ class NullSpaceCheck:
     lambda2_match: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "residual": self.residual,
-            "lambda2_base": self.lambda2_base,
-            "lambda2_other": self.lambda2_other,
-            "lambda2_match": self.lambda2_match,
-        }
+        return asdict(self)
 
 
 def fiedler_null_space_check(

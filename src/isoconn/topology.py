@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -238,14 +238,7 @@ class LaplacianValidation:
         return self.symmetric and self.zero_row_sums and self.nonpositive_offdiag and self.psd
 
     def to_json_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "zero_row_sums": self.zero_row_sums,
-            "nonpositive_offdiag": self.nonpositive_offdiag,
-            "psd": self.psd,
-            "connected": self.connected,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 def validate_laplacian(matrix: SquareMatrix, tol: float) -> LaplacianValidation:

@@ -9,7 +9,7 @@ plane, which is what makes "move without changing connectivity" zones possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
@@ -106,12 +106,7 @@ class ValidityCheck:
         return self.inequality_holds and not self.lambda2_at_target
 
     def to_json_dict(self) -> dict:
-        return {
-            "inequality_holds": self.inequality_holds,
-            "lambda2": self.lambda2,
-            "lambda2_at_target": self.lambda2_at_target,
-            "discrepancy": self.discrepancy,
-        }
+        return asdict(self) | {"discrepancy": self.discrepancy}
 
 
 def dense_family_validity(alpha: float, beta: float, tol: float = 1e-9) -> ValidityCheck:
@@ -180,14 +175,7 @@ class GridSpec:
                 yield self.xmin + (ix + 0.5) * dx, y
 
     def to_json_dict(self) -> dict:
-        return {
-            "xmin": self.xmin,
-            "xmax": self.xmax,
-            "ymin": self.ymin,
-            "ymax": self.ymax,
-            "nx": self.nx,
-            "ny": self.ny,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,16 @@ class TestSpectrum:
         assert not target.exists()
         assert json.loads(err)["error"] == "InvalidInput"
 
+    @pytest.mark.parametrize("rows", [[["1", "-1"], ["-1", "1"]], [[True, False], [False, True]], [[None, 1], [1, 1]]])
+    def test_non_number_entries_exit_2(self, tmp_path, capsys, rows):
+        # String and bool entries used to print a spectrum, and None read as NaN.
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps({"rows": rows}))
+        code, out, err = run(capsys, ["spectrum", "--matrix", str(path)])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        message = f"invalid matrix file {path}: matrix entry must be a number, got {rows[0][0]!r}"
+        assert json.loads(err) == {"error": "InvalidInput", "message": message}
+
 
 class TestOutOfBandMatrices:
     """Entries near the float64 limit: solved scaled, or a NonFinite domain error."""

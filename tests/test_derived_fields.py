@@ -1,6 +1,7 @@
 """Result fields that follow from other fields are properties, not stored values."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,19 +10,26 @@ from isoconn import (
     BlockDecomposition,
     ConnectivityReport,
     GridSpec,
+    LaplacianValidation,
     MoveSolution,
+    NullSpaceCheck,
     SquareMatrix,
+    TransformValidation,
     ValidityCheck,
     ZoneSample,
     algebraic_connectivity,
     block_decompose,
     build_laplacian,
     dense_family_validity,
+    fiedler_null_space_check,
     iso_connectivity_zone,
     mirror_moves,
+    permutation_matrix,
+    validate_iso_transform,
+    validate_laplacian,
 )
 from isoconn.spectral import DEGENERACY_GAP
-from conftest import geometric_config, make_config
+from conftest import L1_ROWS, L3_ROWS, geometric_config, make_config
 
 K4_ROWS = [[3, -1, -1, -1], [-1, 3, -1, -1], [-1, -1, 3, -1], [-1, -1, -1, 3]]
 
@@ -114,3 +122,52 @@ class TestBlockDecomposition:
                 blocks = block_decompose(lap, agent)
                 assert blocks.rest == tuple(i for i in range(n) if i != agent)
                 assert blocks.reassemble().entries.tobytes() == lap.entries.tobytes()
+
+
+# One instance of each flat record, its derived keys, and its JSON as sorted bytes.
+FLAT_RECORDS = [
+    (
+        lambda: validate_laplacian(SquareMatrix.from_rows([[1, 1, -2], [1, -1, 0], [-2, 0, 2]]), 1e-9),
+        LaplacianValidation,
+        ["passed"],
+        '{"connected": false, "nonpositive_offdiag": false, "passed": false, "psd": false,'
+        ' "symmetric": true, "zero_row_sums": true}',
+    ),
+    (
+        lambda: validate_iso_transform(SquareMatrix(2.0 * permutation_matrix((3, 2, 1, 0)).entries), 1e-9),
+        TransformValidation,
+        ["passed"],
+        '{"fixes_ones": false, "is_identity": false, "is_permutation": false, "ones_residual": 1.0,'
+        ' "orthonormal": false, "orthonormality_residual": 3.0, "passed": false}',
+    ),
+    (
+        lambda: fiedler_null_space_check(SquareMatrix.from_rows(L1_ROWS), SquareMatrix.from_rows(L3_ROWS)),
+        NullSpaceCheck,
+        [],
+        '{"lambda2_base": 2.0000000000000018, "lambda2_match": true, "lambda2_other": 2.0000000000000004,'
+        ' "ok": false, "residual": 1.4142135623730958}',
+    ),
+    (
+        lambda: dense_family_validity(0.5, 3.0),
+        ValidityCheck,
+        ["discrepancy"],
+        '{"discrepancy": true, "inequality_holds": true, "lambda2": 3.208712152522079, "lambda2_at_target": false}',
+    ),
+    (
+        lambda: GridSpec(0, 4, -1.5, 1, 4, 2),
+        GridSpec,
+        [],
+        '{"nx": 4, "ny": 2, "xmax": 4.0, "xmin": 0.0, "ymax": 1.0, "ymin": -1.5}',
+    ),
+]
+
+
+@pytest.mark.parametrize("make,cls,derived,golden", FLAT_RECORDS, ids=[row[1].__name__ for row in FLAT_RECORDS])
+class TestFlatRecordJson:
+    def test_keys_are_the_fields_then_the_derived_names(self, make, cls, derived, golden):
+        record = make()
+        assert type(record) is cls
+        assert list(record.to_json_dict()) == [f.name for f in dataclasses.fields(cls)] + derived
+
+    def test_json_bytes(self, make, cls, derived, golden):
+        assert json.dumps(make().to_json_dict(), sort_keys=True) == golden

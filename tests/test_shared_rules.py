@@ -509,6 +509,10 @@ FLOAT_CALLS = {
     "fiedler_null_space_check.tol": (lambda v: fiedler_null_space_check(L, L, v), "tol", 0.3, 1),
     "connectivity_differential.tol": (lambda v: connectivity_differential(L, V, v), "tol", 0.3, 1),
     "SquareMatrix.isclose.tol": (lambda v: L.isclose(Q, v), "tol", 0.3, 1),
+    "SquareMatrix.entry": (lambda v: SquareMatrix([[1.0, v], [v, 2.0]]), "matrix entry", 0.3, 2),
+    "SquareMatrix.from_json_dict.entry": (
+        lambda v: SquareMatrix.from_json_dict({"rows": [[1.0, v], [v, 2.0]]}), "matrix entry", 0.3, 2
+    ),
     "symmetric_eigendecomposition.symmetry_tol": (lambda v: symmetric_eigendecomposition(L, v), "symmetry_tol", 0.3, 1),
     "integrate_connectivity_change.gap_tol": (
         lambda v: integrate_connectivity_change(AgentConfiguration(TWO, 1.0, 10.0), 1, [(1.0, 0.0), (1.5, 0.0)], 3, v),
