@@ -46,7 +46,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, bytes that are not UTF-8, or nesting past the stack
         raise CliInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -55,7 +55,7 @@ def _load(path: str, cls, what: str):
     data = _load_json(path)
     try:
         return cls.from_json_dict(data)
-    except (AnalysisError, ValueError, TypeError, KeyError) as exc:
+    except (AnalysisError, ValueError, RecursionError) as exc:  # RecursionError: an entry too deep to repr
         raise CliInputError(f"invalid {what} file {path}: {exc}") from exc
 
 

@@ -7,8 +7,8 @@ fixed sweep order, fixed rotation choice, fixed eigenvector sign convention.
 Arrays are solved by ``_eigh_stack``: a single matrix by list loops, a larger
 stack by vectorised sweeps.  The dense-family check's 4x4 rows, as nested lists
 of floats, are solved by ``_list_eigenvalues`` through a generated kernel.
-``_count_below`` counts a stack's eigenvalues below a shift by the inertia of an
-LDL^T factorisation, for the zone scan's filter.
+``_count_below`` counts a stack's eigenvalues below one or more shifts by the
+inertia of an LDL^T factorisation, for the zone scan's filter.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class SquareMatrix:
         arr = self.entries
         if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"):  # entry by entry, by the float rule
             obj = np.array(arr, dtype=object)
-            arr = np.reshape([_as_float(x, "matrix entry") for x in obj.flat], obj.shape)
+            arr = np.reshape([_as_float(x, "matrix entry") for x in obj.ravel()], obj.shape)
         arr = np.array(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square 2-d array, got shape {arr.shape}")
@@ -490,22 +490,23 @@ def _list_eigenvalues(rows: list[list[float]]) -> list[float]:
 # of L - x I, and by Weyl's inequality each eigenvalue of L lies within
 # margin / 2 of its place in that count.
 def _count_below(stack: np.ndarray, shifts: np.ndarray, margin: np.ndarray) -> np.ndarray:
-    """Per slice of a (G, n, n) stack of exactly symmetric matrices, the eigenvalues below ``shifts[g]``, or -1.
+    """Per slice of a (G, n, n) stack of exactly symmetric matrices, the eigenvalues below ``shifts[..., g]``, or -1.
 
-    The count is the number of negative pivots of an unpivoted LDL^T
-    factorisation of ``stack[g] - shifts[g] * I``; it is certified, and
-    returned, only where the factorisation is provably within
-    ``margin[g] / 2`` of that matrix in the 2-norm (see the note above), so
-    that the count misplaces no eigenvalue by more than ``margin[g] / 2``.
-    Elementwise ufuncs in the (n, n, G) layout of ``_jacobi_stack``: no BLAS
-    call, and one copy of the stack.
+    ``shifts`` has shape (G,) or (k, G), and the counts its shape.  A count
+    is the number of negative pivots of an unpivoted LDL^T factorisation of
+    ``stack[g] - shifts[..., g] * I``; it is certified, and returned, only
+    where the factorisation is provably within ``margin[g] / 2`` of that
+    matrix in the 2-norm (see the note above), so that the count misplaces
+    no eigenvalue by more than ``margin[g] / 2``.  Elementwise ufuncs in the
+    (n, n) + ``shifts.shape`` layout of ``_jacobi_stack``: no BLAS call, one
+    copy of the stack per shift, and each count that of its shift alone.
     """
-    g_count, n = stack.shape[0], stack.shape[-1]
-    a = np.moveaxis(stack, 0, -1).copy()
+    n = stack.shape[-1]
+    a = np.moveaxis(np.broadcast_to(stack, shifts.shape + (n, n)), (-2, -1), (0, 1)).copy()
     diag = np.arange(n)
     a[diag, diag] -= shifts
     total = np.abs(a[diag, diag]).max(axis=0)
-    buf = np.empty((n, g_count))
+    buf = np.empty((n,) + shifts.shape)
     # A zero pivot divides by zero and an overflowing one leaves inf or nan,
     # and each leaves its lane uncertified.
     with np.errstate(all="ignore"):

@@ -99,8 +99,10 @@ class AgentConfiguration:
         for key in ("sigma", "range", "agents"):
             if key not in data:
                 raise ValueError(f"configuration JSON is missing {key!r}")
-        agents = tuple(Agent(str(a["id"]), a["x"], a["y"]) for a in data["agents"])
-        return cls(agents, data["sigma"], data["range"])
+        agents = data["agents"]
+        if not (isinstance(agents, list) and all(isinstance(a, dict) and {"id", "x", "y"} <= a.keys() for a in agents)):
+            raise ValueError("configuration 'agents' must be a list of objects with 'id', 'x' and 'y'")
+        return cls(tuple(Agent(str(a["id"]), a["x"], a["y"]) for a in agents), data["sigma"], data["range"])
 
 
 def _check_decay(sigma: float, comm_range: float) -> tuple[float, float]:

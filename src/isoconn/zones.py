@@ -79,9 +79,12 @@ def _discriminant(alpha: float, beta: float) -> float:
 def dense_family_spectrum(alpha: float, beta: float) -> tuple[float, float, float, float]:
     """Closed-form spectrum of the family: {0, 4, 2+a+b +/- sqrt(disc)} ascending."""
     alpha, beta = _check_parameters(alpha, beta)
-    root = math.sqrt(_discriminant(alpha, beta))
-    values = sorted([0.0, 4.0, 2.0 + alpha + beta - root, 2.0 + alpha + beta + root])
-    return tuple(values)
+    plus = 2.0 + alpha + beta + math.sqrt(_discriminant(alpha, beta))
+    # The minus root as the product of the roots over the plus root, where
+    # 2 + a + b - sqrt(disc) would cancel.  3ab stays finite: the finite sum
+    # of squares 4 disc is at least 4 (a - 1)(b - 1).
+    minus = (3.0 + 5.0 * alpha + 5.0 * beta + 3.0 * alpha * beta) / plus
+    return tuple(sorted([0.0, 4.0, minus, plus]))
 
 
 @dataclass(frozen=True)
@@ -223,12 +226,8 @@ def _may_accept(laps: np.ndarray, target: float, tol: float) -> np.ndarray:
     the solve would accept is dropped.  Past that bound every cell is kept.
     """
     m = 1e-9 * _entry_scale(laps, axis=(1, 2))
-    below_hi = _count_below(laps, target + tol + m, m)
-    keep = (below_hi < 0) | (below_hi >= 2)
-    lanes = np.flatnonzero(below_hi >= 2)
-    below_lo = _count_below(laps[lanes], target - tol - m[lanes], m[lanes])
-    keep[lanes[below_lo >= 2]] = False
-    return keep | (abs(target) + tol > 2.0**40 * m)
+    below_hi, below_lo = _count_below(laps, np.stack([target + tol + m, target - tol - m]), m)
+    return (below_hi < 0) | ((below_hi >= 2) & (below_lo < 2)) | (abs(target) + tol > 2.0**40 * m)
 
 
 def iso_connectivity_zone(

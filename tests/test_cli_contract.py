@@ -59,6 +59,19 @@ CONFIGS = {
         for i, (x, y) in enumerate([(-1e308, -1e308), (1e308, -1e308), (-1e308, 1e308), (1e308, 1e308)])
     ]}),
 }
+# Configurations whose agents lack a key or are not a list of objects, which
+# the library refused with KeyError and TypeError.
+MALFORMED_CONFIGS = {
+    f"config_agents_{i}.json": json.dumps({**CONFIG, "agents": agents})
+    for i, agents in enumerate([
+        [{"id": "a1", "x": 0.0}, *CONFIG["agents"][1:]],
+        [{"x": 0.0, "y": 0.0}, *CONFIG["agents"][1:]],
+        5,
+        None,
+        ["a", "b"],
+        [[0, 0], [1, 1]],
+    ])
+}
 # Every step count is bounded: a huge finite one would ask for unbounded work.
 STEPS = ["0", "-1", "1", "3", "2.5", "1e-320", "Infinity", "-Infinity", "NaN", '"x"']
 ENDS = ["[1.2, 2.2]", "[1e308, 0]", "[NaN, 1]", "[1e-320, 1e-320]", "[1.2, 2.2, 3.0]", "[1.2]", '{"x": 1.2, "y": 2.2}']
@@ -83,6 +96,10 @@ def base(tmp_path_factory):
         "order_inf.json": '{"order": Infinity, "rows": [[1.0]]}',
         "config_range_huge.json": json.dumps(CONFIG).replace('"range": 10.0', '"range": 1' + "0" * 400),
         "entry_huge.json": '{"rows": [[1, -1], [-1, 1%s]]}' % ("0" * 400),
+        # Rows past numpy's 32 dimensions, and JSON past the parser's stack.
+        "rows_deep.json": '{"rows": %s1%s}' % ("[" * 40, "]" * 40),
+        "deep.json": "[" * 100_000 + "]" * 100_000,
+        **MALFORMED_CONFIGS,
     })
     for i, steps in enumerate(STEPS):
         for j, end in enumerate(ENDS):
@@ -242,11 +259,21 @@ class TestContract:
             ["spectrum", "--matrix", "order_inf.json"],  # was an OverflowError traceback
             ["connectivity", "--input", "config_range_huge.json"],  # so was an integer range past float64
             ["spectrum", "--matrix", "entry_huge.json"],  # and an integer matrix entry past float64
+            ["spectrum", "--matrix", "rows_deep.json"],  # a RuntimeError traceback
+            # RecursionError tracebacks, whichever file is nested too deep.
+            ["spectrum", "--matrix", "deep.json"],
+            ["connectivity", "--input", "deep.json"],
+            ["integrate", "--input", "config.json", "--path", "deep.json"],
+            *(["connectivity", "--input", name] for name in MALFORMED_CONFIGS),
         ],
     )
     def test_input_errors_exit_2(self, base, argv):
         code, _, err = check_contract(in_dir(base, argv))
         assert code == 2 and json.loads(err)["error"] == "InvalidInput"
+
+    def test_json_past_the_parser_stack_is_invalid_json(self, base):
+        _, _, err = check_contract(["spectrum", "--matrix", str(base / "deep.json")])
+        assert json.loads(err)["message"].startswith(f"invalid JSON in {base / 'deep.json'}: ")
 
     @pytest.mark.parametrize(
         "argv",

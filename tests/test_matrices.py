@@ -101,6 +101,19 @@ class TestSquareMatrix:
         with pytest.raises(ValueError, match="^matrix JSON must be an object with a 'rows' field$"):
             SquareMatrix.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "depth,message",
+        [(33, "expected a square 2-d array"), (64, "expected a square 2-d array"), (100, "matrix entry must be a number")],
+    )
+    def test_rows_nested_past_numpy_dimensions_are_a_value_error(self, depth, message):
+        # Walking the entries by .flat raised numpy's RuntimeError past 32
+        # dimensions; numpy stops at 64, leaving lists as entries.
+        rows = [1.0]
+        for _ in range(depth - 1):
+            rows = [rows]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            SquareMatrix.from_json_dict({"rows": rows})
+
     def test_entries_are_immutable(self, l1):
         with pytest.raises(ValueError):
             l1.entries[0, 0] = 99.0

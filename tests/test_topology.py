@@ -286,6 +286,24 @@ class TestConfigurationJson:
             AgentConfiguration.from_json_dict({"sigma": 1.0, "agents": []})
 
     @pytest.mark.parametrize(
+        "agents",
+        [
+            [{"id": "a1", "x": 0.0}, {"id": "a2", "x": 1.0, "y": 0.0}],
+            [{"x": 0.0, "y": 0.0}, {"id": "a2", "x": 1.0, "y": 0.0}],
+            5,
+            None,
+            ["a", "b"],
+            [[0, 0], [1, 1]],
+        ],
+    )
+    def test_agents_must_be_objects_with_id_x_and_y(self, agents):
+        # A missing key used to leak KeyError, and agents that are not a list
+        # of objects TypeError.
+        message = "configuration 'agents' must be a list of objects with 'id', 'x' and 'y'"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            AgentConfiguration.from_json_dict({"sigma": 1.0, "range": 10.0, "agents": agents})
+
+    @pytest.mark.parametrize(
         "field,agent,key", [("sigma", None, "sigma"), ("range", None, "range"), ("agents[1].x", 1, "x"), ("agents[0].y", 0, "y")]
     )
     def test_an_integer_beyond_float64_names_its_field(self, field, agent, key):

@@ -99,6 +99,14 @@ class TestDenseFamilySpectrum:
     def test_parameters_below_the_overflow_keep_the_closed_form(self):
         assert all(map(math.isfinite, dense_family_spectrum(1e150, 1e150)))
 
+    @pytest.mark.parametrize(
+        "alpha,beta,want",
+        [(1e20, 1.0, (0.0, 4.0, 4.0, 2e20)), (1e20, 3.0, (0.0, 4.0, 7.0, 2e20)), (1e100, 0.5, (0.0, 3.25, 4.0, 2e100))],
+    )
+    def test_the_minus_root_does_not_cancel_at_large_parameters(self, alpha, beta, want):
+        # 2 + a + b - sqrt(disc) used to give 0 for the minus root here.
+        assert dense_family_spectrum(alpha, beta) == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 class TestDenseFamilyValidity:
     def test_reference_parameter_pairs_valid(self):
@@ -498,6 +506,26 @@ def band_edge_targets(lam, tol, scale):
     return [lam + side * tol + step * scale for side in (-1.0, 1.0) for step in (0.0, 1e-12, -1e-12, 1e-10, -1e-10)]
 
 
+def two_call_may_accept(laps, target, tol):
+    """The filter's first form: the cells with two eigenvalues below the upper shift, counted again at the lower one."""
+    m = 1e-9 * _entry_scale(laps, axis=(1, 2))
+    below_hi = _count_below(laps, target + tol + m, m)
+    keep = (below_hi < 0) | (below_hi >= 2)
+    lanes = np.flatnonzero(below_hi >= 2)
+    below_lo = _count_below(laps[lanes], target - tol - m[lanes], m[lanes])
+    keep[lanes[below_lo >= 2]] = False
+    return keep | (abs(target) + tol > 2.0**40 * m)
+
+
+def counts_by_row(stack, shifts, margin):
+    """``_count_below`` at (k, G) shifts as lists, each row asserted equal to the (G,) call at its shifts."""
+    got = _count_below(stack, shifts, margin)
+    assert got.shape == shifts.shape
+    for row, at in zip(got.tolist(), shifts):
+        assert row == _count_below(stack, at, margin).tolist()
+    return got.tolist()
+
+
 class TestZoneFilter:
     """The certified eigenvalue counts reject only cells that the solve rejects."""
 
@@ -522,6 +550,7 @@ class TestZoneFilter:
                 for target in band_edge_targets(lam, tol, scale):
                     kept = zones._may_accept(laps, target, tol)
                     assert kept[np.abs(lams - target) <= tol].all(), (tol, target)
+                    assert np.array_equal(kept, two_call_may_accept(laps, target, tol)), (tol, target)
             # The whole scan on the first cell's edges.  Orders 32 and 64 scan
             # one cell, whose solve takes longer: one target just inside the
             # band and one just outside it stand for the list there.
@@ -560,6 +589,9 @@ class TestZoneFilter:
         margin = 48 * 2.0**-53
         assert _count_below(eye, np.zeros(1), np.array([margin])).tolist() == [0]
         assert _count_below(eye, np.zeros(1), np.array([np.nextafter(margin, 0.0)])).tolist() == [-1]
+        # At shift 2 the pivots are -1 and -1, and the bound is the same.
+        assert counts_by_row(eye, np.array([[0.0], [2.0]]), np.array([margin])) == [[0], [2]]
+        assert counts_by_row(eye, np.array([[0.0], [2.0]]), np.array([np.nextafter(margin, 0.0)])) == [[-1], [-1]]
 
     def test_out_of_band_slices_reach_the_solve(self):
         lap = build_laplacian(geometric_config(np.random.default_rng(3), 6)).entries
@@ -571,6 +603,9 @@ class TestZoneFilter:
             scaled = np.ldexp(lap, k)
             margin = 1e-9 * float(_entry_scale(scaled))
             assert _count_below(scaled[None], np.array([math.ldexp(shift, k)]), np.array([margin])).tolist() == [-1]
+            # In a mixed stack the in-band slice keeps its counts at both shifts.
+            shifts = np.array([[x, math.ldexp(x, k)] for x in (shift, lam[-1] + 1.0)])
+            assert counts_by_row(np.stack([lap, scaled]), shifts, np.array([m, margin])) == [[2, -1], [6, -1]]
             # A target far off the band would be rejected by the counts alone.
             assert zones._may_accept(scaled[None], 1e3 * float(_entry_scale(scaled)), 1e-6).tolist() == [True]
 
@@ -581,6 +616,8 @@ class TestZoneFilter:
         m = 1e-9 * float(_entry_scale(lap))
         assert _count_below(lap[None], np.array([0.5 * lap[0, 0]]), np.array([m])).tolist() == [1]
         assert _count_below(np.stack([lap, lap]), np.array([lap[0, 0], 0.0]), np.array([m, m])).tolist() == [-1, -1]
+        shifts = np.array([[lap[0, 0], 0.0], [0.5 * lap[0, 0], 0.0]])
+        assert counts_by_row(np.stack([lap, lap]), shifts, np.array([m, m])) == [[-1, -1], [1, -1]]
         tol = 0.25
         target = lap[0, 0] - tol - m
         for _ in range(64):
